@@ -19,8 +19,8 @@ one of them fails CI: implement ``X`` and ``X_many`` bit-identically,
 register the pair here, and extend the bit-identity tests to drive it.
 
 The naming convention the discovery side of RPL005 enforces: bulk twins are
-named ``<scalar>_many`` (extra aliases like ``find_roots_bulk`` may be
-registered on top, but do not satisfy the convention by themselves).
+named ``<scalar>_many`` (extra aliases may be registered on top, but do not
+satisfy the convention by themselves).
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ PARITY_TABLE: tuple[ParityPair, ...] = (
     ParityPair("repro.coding.berlekamp_massey",
                "berlekamp_massey", "berlekamp_massey_many"),
     ParityPair("repro.coding.rootfind", "find_roots", "find_roots_many"),
-    # A second registered alias of the same scalar: the single-poly bulk
-    # sweep used when only one locator needs roots.
-    ParityPair("repro.coding.rootfind", "find_roots", "find_roots_bulk"),
     ParityPair("repro.coding.rs_decoder",
                "SparseRecoveryDecoder.decode", "SparseRecoveryDecoder.decode_many"),
     ParityPair("repro.outdetect.base",

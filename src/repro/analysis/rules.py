@@ -429,6 +429,8 @@ LOCK_CONTRACTS: tuple[LockContract, ...] = (
                  "_session_lock",
                  frozenset({"_session_cache", "_session_evictions"}),
                  exempt_methods=frozenset({"__init__", "_init_session_cache"})),
+    LockContract("src/repro/core/snapshot.py", "RehydratedOracle",
+                 "_decoded_lock", frozenset({"_decoded_edges"})),
     LockContract("src/repro/obs/registry.py", "Counter", "_lock",
                  frozenset({"_values"})),
     LockContract("src/repro/obs/registry.py", "Gauge", "_lock",

@@ -22,7 +22,7 @@ This subpackage implements that pipeline from scratch:
 
 from repro.coding.syndrome import SyndromeEncoder, xor_vectors
 from repro.coding.berlekamp_massey import berlekamp_massey, berlekamp_massey_many
-from repro.coding.rootfind import chien_roots, find_roots, find_roots_bulk, find_roots_many
+from repro.coding.rootfind import find_roots, find_roots_many
 from repro.coding.rs_decoder import DecodeFailure, SparseRecoveryDecoder
 
 __all__ = [
@@ -30,9 +30,7 @@ __all__ = [
     "xor_vectors",
     "berlekamp_massey",
     "berlekamp_massey_many",
-    "chien_roots",
     "find_roots",
-    "find_roots_bulk",
     "find_roots_many",
     "DecodeFailure",
     "SparseRecoveryDecoder",

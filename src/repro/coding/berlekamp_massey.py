@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.gf2.bulk import BulkOps, get_bulk_ops
+from repro.gf2.bulk import BulkOps, PyBulkOps
 from repro.gf2.field import GF2m
 from repro.gf2.poly import Gf2Poly
 
@@ -112,7 +112,7 @@ def berlekamp_massey_many(field: GF2m, sequences: Sequence[Sequence[int]],
     if not sequences:
         return []
     if bulk is None:
-        bulk = get_bulk_ops(field)
+        bulk = PyBulkOps(field)
     count = len(sequences)
     current: list[list[int]] = [[1] for _ in range(count)]
     previous: list[list[int]] = [[1] for _ in range(count)]

@@ -17,26 +17,18 @@ the deterministic alternative available in characteristic two:
     linear.  No randomness is involved and the cost is
     ``O(w^2 * deg(p)^2)`` field operations.
 
-A third option joins the two classics on the batched decode path:
-:func:`chien_roots` is a *vectorized* Chien sweep — one Horner evaluation of
-the polynomial at every non-zero field element, expressed as ``deg(p)``
-element-wise :meth:`~repro.gf2.bulk.BulkOps.mul_many` calls.  Exhaustive
-search is only sensible when the field is small enough and the backend is
-data-parallel, so :func:`find_roots_bulk` picks between the sweep and the
-trace-based method; both return the same sorted set of roots, making the
-choice a pure speed knob.
+There is no exhaustive (Chien) search beside it: enumerating the field only
+fits widths far below the ones labels are built with, so
+:func:`find_roots_many` runs the trace method per locator of a batched
+decode round.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.gf2.bulk import BulkOps
 from repro.gf2.field import GF2m
 from repro.gf2.poly import Gf2Poly
-
-#: Largest field order the vectorized Chien sweep is allowed to enumerate.
-CHIEN_MAX_ORDER = 1 << 16
 
 
 def find_roots(poly: Gf2Poly) -> list[int]:
@@ -129,54 +121,9 @@ def _trace_polynomial(field: GF2m, frobenius_powers: list[Gf2Poly],
     return total
 
 
-def chien_roots(poly: Gf2Poly, bulk: BulkOps) -> list[int]:
-    """All roots of ``poly`` by a vectorized sweep over the whole field.
-
-    Evaluates the polynomial at every non-zero field element with one Horner
-    recurrence expressed element-wise over the field — ``deg(p)`` bulk
-    ``mul_many`` calls of ``2^w - 1`` lanes each — and separately tests the
-    zero element from the constant coefficient.  Returns the same sorted,
-    distinct root list as :func:`find_roots`.
-    """
-    field = poly.field
-    if poly.is_zero():
-        raise ValueError("the zero polynomial has every field element as a root")
-    if poly.degree <= 0:
-        return []
-    coefficients = poly.coeffs
-    candidates = list(range(1, field.order))
-    values: list[int] = [coefficients[-1]] * len(candidates)
-    for position in range(len(coefficients) - 2, -1, -1):
-        values = bulk.mul_many(values, candidates)
-        constant = coefficients[position]
-        if constant:
-            values = [value ^ constant for value in values]
-    roots = [candidate for candidate, value in zip(candidates, values) if value == 0]
-    if coefficients[0] == 0:
-        roots.append(0)
-    return sorted(roots)
-
-
-def find_roots_bulk(poly: Gf2Poly, bulk: BulkOps | None = None) -> list[int]:
-    """Root finding with the backend-appropriate strategy.
-
-    The Chien sweep enumerates the whole field, so it only wins when the
-    backend turns the per-element work into data-parallel kernels (numpy) and
-    the field is small enough to enumerate (``CHIEN_MAX_ORDER``); every other
-    case — including every pure-Python run — uses the deterministic
-    trace-based :func:`find_roots`.  Both strategies return identical sorted
-    root lists, so the dispatch never changes results.
-    """
-    if (bulk is None or bulk.name != "numpy" or poly.is_zero()
-            or poly.degree <= 1 or poly.field.order > CHIEN_MAX_ORDER):
-        return find_roots(poly)
-    return chien_roots(poly, bulk)
-
-
-def find_roots_many(polys: Sequence[Gf2Poly],
-                    bulk: BulkOps | None = None) -> list[list[int]]:
+def find_roots_many(polys: Sequence[Gf2Poly]) -> list[list[int]]:
     """Roots of many polynomials (one batched-decode round's locators)."""
-    return [find_roots_bulk(poly, bulk) for poly in polys]
+    return [find_roots(poly) for poly in polys]
 
 
 def _split_with_trace(factor: Gf2Poly, trace_poly: Gf2Poly) -> list[Gf2Poly]:

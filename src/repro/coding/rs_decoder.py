@@ -36,7 +36,7 @@ from typing import Sequence
 from repro.coding.berlekamp_massey import berlekamp_massey, berlekamp_massey_many
 from repro.coding.rootfind import find_roots, find_roots_many
 from repro.coding.syndrome import SyndromeEncoder
-from repro.gf2.bulk import BulkOps, get_bulk_ops
+from repro.gf2.bulk import BulkOps, PyBulkOps
 from repro.gf2.field import GF2m
 
 
@@ -45,14 +45,18 @@ class DecodeFailure(Exception):
 
 
 class SparseRecoveryDecoder:
-    """Recovers sparse supports from power-sum syndromes over GF(2^w)."""
+    """Recovers sparse supports from power-sum syndromes over GF(2^w).
+
+    ``bulk`` defaults to :class:`~repro.gf2.bulk.PyBulkOps`: a decode round
+    multiplies a few elements per call, where numpy's per-call cost loses.
+    """
 
     __slots__ = ("field", "threshold", "bulk", "_encoder")
 
     def __init__(self, field: GF2m, threshold: int, bulk: BulkOps | None = None):
         self.field = field
         self.threshold = threshold
-        self.bulk = bulk if bulk is not None else get_bulk_ops(field)
+        self.bulk = bulk if bulk is not None else PyBulkOps(field)
         self._encoder = SyndromeEncoder(field, threshold, bulk=self.bulk)
 
     # ----------------------------------------------------------------- decode
@@ -175,7 +179,7 @@ class SparseRecoveryDecoder:
             else:
                 rooted.append(index)
                 rooted_locators.append(locator)
-        roots_many = find_roots_many(rooted_locators, self.bulk)
+        roots_many = find_roots_many(rooted_locators)
         candidates: list[int] = []
         supports: list[list[int]] = []
         for index, locator, roots in zip(rooted, rooted_locators, roots_many):

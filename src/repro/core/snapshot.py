@@ -88,6 +88,8 @@ across versions by construction.
 from __future__ import annotations
 
 import mmap
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Sequence
@@ -97,6 +99,7 @@ from repro.errors import OracleClosedError
 from repro.core.ftc import FTCLabeling, LabelBackedQueries
 from repro.core.labels import EdgeLabel, VertexLabel
 from repro.core.serialize import (LabelDecodeError, read_varint, write_varint)
+from repro.gf2.bulk import PyBulkOps
 from repro.gf2.field import GF2m
 from repro.gf2.irreducible import is_irreducible
 from repro.graphs.graph import Edge, _vertex_key, canonical_edge
@@ -298,7 +301,8 @@ def build_decode_outdetect(descriptor: OutdetectDescriptor, field: GF2m,
 
     No vertex labels are built — the result supports exactly what the query
     engines and batch sessions use (``zero_label``, ``combine[_all]``,
-    ``decode``, ``label_bit_size``).
+    ``decode``, ``label_bit_size``) — so RS levels get the pure-Python
+    backend: numpy only pays off on label construction.
     """
     if descriptor.kind == "layered-rs":
         if not descriptor.thresholds:
@@ -307,8 +311,10 @@ def build_decode_outdetect(descriptor: OutdetectDescriptor, field: GF2m,
             if not 1 <= threshold <= MAX_RS_THRESHOLD:
                 raise LabelDecodeError("implausible RS decoding threshold %d "
                                        "(limit %d)" % (threshold, MAX_RS_THRESHOLD))
+        bulk = PyBulkOps(field)
         return LayeredOutdetect([
-            RSThresholdOutdetect.decode_only(field, threshold, adaptive=adaptive)
+            RSThresholdOutdetect.decode_only(field, threshold, adaptive=adaptive,
+                                             bulk=bulk)
             for threshold in descriptor.thresholds])
     if descriptor.kind == "sketch":
         if descriptor.num_levels < 1 or descriptor.repetitions < 1 \
@@ -778,6 +784,8 @@ class RehydratedOracle(LabelBackedQueries):
             snapshot.outdetect, field, snapshot.config.adaptive_decoding)
         self._vertex_labels = dict(snapshot.vertex_labels)
         self._edge_labels = dict(snapshot.edge_labels)
+        self._decoded_edges: OrderedDict[Edge, EdgeLabel] = OrderedDict()
+        self._decoded_lock = threading.Lock()
         self._init_session_cache()
         self._queries_answered = 0
         self._closed = False
@@ -788,12 +796,14 @@ class RehydratedOracle(LabelBackedQueries):
 
     # ---------------------------------------------------------- label lookups
     #
-    # The maps may hold raw blobs (lazy load path); a blob is decoded on first
-    # use and the decoded object cached in place, so a query touches only the
-    # labels it actually needs — the rehydration cost of a snapshot is
-    # structural, not proportional to total label bits.  Decoding is
-    # idempotent and the in-place swap is a single (GIL-atomic) dict store, so
-    # concurrent threads may at worst decode the same blob twice.
+    # The maps may hold raw blobs (lazy load path), decoded on first use, so
+    # a query touches only the labels it actually needs — the rehydration
+    # cost of a snapshot is structural, not proportional to total label bits.
+    # A decoded vertex label replaces its blob in place (a single GIL-atomic
+    # dict store; concurrent threads may at worst decode a blob twice).  A
+    # decoded edge label is ~8x its blob, so edge blobs stay in the map and
+    # the decoded labels live in an LRU of SESSION_CACHE_SIZE x max_faults
+    # entries — enough for every fault of every cached session.
 
     def vertex_label(self, vertex: Vertex) -> VertexLabel:
         self._ensure_open()
@@ -813,10 +823,19 @@ class RehydratedOracle(LabelBackedQueries):
             label = self._edge_labels[edge]
         except KeyError:
             raise KeyError("edge %r is not in the snapshot" % (edge,)) from None
-        if isinstance(label, (bytes, memoryview)):
-            label = EdgeLabel.from_bytes(bytes(label))
-            self._edge_labels[edge] = label
-        return label
+        if not isinstance(label, (bytes, memoryview)):
+            return label
+        with self._decoded_lock:
+            decoded = self._decoded_edges.get(edge)
+            if decoded is not None:
+                self._decoded_edges.move_to_end(edge)
+                return decoded
+        decoded = EdgeLabel.from_bytes(bytes(label))
+        with self._decoded_lock:
+            self._decoded_edges[edge] = decoded
+            while len(self._decoded_edges) > self.SESSION_CACHE_SIZE * self.max_faults:
+                self._decoded_edges.popitem(last=False)
+        return decoded
 
     # -------------------------------------------------------------- topology
 
@@ -892,6 +911,8 @@ class RehydratedOracle(LabelBackedQueries):
         super().close()
         self._vertex_labels = {}
         self._edge_labels = {}
+        with self._decoded_lock:
+            self._decoded_edges.clear()
         if self._mmap is not None:
             # load_snapshot built the snapshot privately for this oracle, so
             # dropping its maps here releases the last blob views (CPython

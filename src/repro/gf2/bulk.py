@@ -8,16 +8,19 @@ the outdetect layer can be written once and executed by interchangeable
 backends:
 
 ``PyBulkOps``
-    Pure Python, table-driven (reuses :class:`~repro.gf2.field.FixedMultiplier`
-    windows and the field's log/exp tables when present).  Always available.
+    Pure Python, table-driven (a :class:`~repro.gf2.field.FixedMultiplier`
+    window per call and the field's log/exp tables when present).  Always
+    available, and the only backend syndrome decoding uses: a decode round
+    multiplies a few elements per call, too few for numpy to pay off.
 
 ``NumpyBulkOps``
     Bit-sliced numpy implementation: carry-less products are assembled by
     XOR-ing shifted operand arrays one multiplier bit at a time and reduced
-    modulo the field polynomial with vectorized conditional XORs.  Requires
-    ``numpy`` and a field width ``w <= 32`` (so degree < 2w products fit in
-    ``uint64``); :func:`get_bulk_ops` falls back to the pure-Python backend
-    cleanly when either precondition fails.
+    by folding on the modulus tail (``GF2m.tail_shifts``), the same rule as
+    the scalar field.  It serves label construction, where one call covers
+    every edge of a level.  Requires ``numpy`` and a field width ``w <= 32``
+    (so degree < 2w products fit in ``uint64``); :func:`get_bulk_ops` falls
+    back to the pure-Python backend cleanly when either precondition fails.
 
 Both backends compute the *exact same* field arithmetic, so their outputs are
 bit-identical — the cross-check tests and ``bench_batch_queries.py`` assert
@@ -115,41 +118,16 @@ class BulkOps(ABC):
 
 
 class PyBulkOps(BulkOps):
-    """Pure-Python, table-driven reference backend (always available).
-
-    Windowed multiplier tables are memoized per base element: one session
-    decode re-encodes the same small supports (edge identifiers) many times
-    during verification, and the decode hot path multiplies by the same
-    syndrome elements across Berlekamp--Massey steps, so rebuilding the
-    16-entry window on every call was pure waste.  The memo is bounded
-    (:attr:`MULTIPLIER_CACHE_SIZE`) and affects timing only — the window
-    contents are a pure function of the base element.
-    """
+    """Pure-Python, table-driven reference backend (always available)."""
 
     name = "python"
-
-    #: Bound on the per-instance window-table memo (tables are ~16 ints each).
-    MULTIPLIER_CACHE_SIZE = 1024
-
-    def __init__(self, field: GF2m | None = None):
-        super().__init__(field)
-        self._multiplier_cache: dict[int, object] = {}
-
-    def _multiplier(self, base: int):
-        """The (memoized) windowed multiplier for one base element."""
-        window = self._multiplier_cache.get(base)
-        if window is None:
-            if len(self._multiplier_cache) >= self.MULTIPLIER_CACHE_SIZE:
-                self._multiplier_cache.clear()
-            window = self._multiplier_cache[base] = self.field.multiplier(base)
-        return window
 
     def mul_many(self, elements: Sequence[int], multiplier) -> list[int]:
         field = self._require_field()
         if isinstance(multiplier, int):
             if not elements:
                 return []
-            window = self._multiplier(multiplier)
+            window = field.multiplier(multiplier)
             return [window.mul(element) for element in elements]
         if len(multiplier) != len(elements):
             raise ValueError("mul_many got %d elements but %d multipliers"
@@ -157,12 +135,12 @@ class PyBulkOps(BulkOps):
         return [field.mul(a, b) for a, b in zip(elements, multiplier)]
 
     def pow_range(self, base: int, count: int) -> list[int]:
-        self._require_field()
+        field = self._require_field()
         if count < 0:
             raise ValueError("count must be non-negative, got %d" % count)
         if count == 0:
             return []
-        window = self._multiplier(base)
+        window = field.multiplier(base)
         powers = [base]
         current = base
         for _ in range(count - 1):
@@ -226,6 +204,14 @@ class NumpyBulkOps(BulkOps):
         super().__init__(field)
         self.small_cutoff = small_cutoff
         self._py = PyBulkOps(field)
+        # Folds needed to bring a degree 2w-2 product below x^w: each one
+        # lowers the degree bound by w - deg(tail).
+        self._fold_passes = 0
+        if field is not None:
+            degree = 2 * field.width - 2
+            while degree >= field.width:
+                degree -= field.width - max(field.tail_shifts)
+                self._fold_passes += 1
 
     # ------------------------------------------------------------ primitives
 
@@ -250,13 +236,20 @@ class NumpyBulkOps(BulkOps):
         return self._reduce(product)
 
     def _reduce(self, product):
-        """Vectorized reduction of degree < 2w polynomials mod the field poly."""
+        """Vectorized reduction of degree < 2w polynomials mod the field poly.
+
+        The same fold by the modulus tail as :meth:`GF2m._reduce`, run a
+        fixed number of passes so every lane ends below ``x^w``.
+        """
         field = self.field
-        width = field.width
-        modulus = field.modulus
-        for degree in range(2 * width - 2, width - 1, -1):
-            mask = (product >> _np.uint64(degree)) & _np.uint64(1)
-            product ^= _np.uint64(modulus << (degree - width)) * mask
+        width = _np.uint64(field.width)
+        mask = _np.uint64(field.order - 1)
+        shifts = [_np.uint64(shift) for shift in field.tail_shifts]
+        for _ in range(self._fold_passes):
+            high = product >> width
+            product = product & mask
+            for shift in shifts:
+                product ^= high << shift
         return product
 
     # -------------------------------------------------------------- field ops
@@ -365,6 +358,9 @@ def available_backends(field: GF2m | None = None, max_bits: int | None = None) -
 def get_bulk_ops(field: GF2m | None = None, backend: str | None = None,
                  max_bits: int | None = None) -> BulkOps:
     """Select a bulk backend for the given field.
+
+    The choice serves label construction and XOR merges; syndrome decoding
+    is pure Python whatever this returns.
 
     Parameters
     ----------

@@ -31,7 +31,8 @@ class GF2m:
         degree is selected.
     """
 
-    __slots__ = ("width", "modulus", "order", "_mask", "_small_log", "_small_exp")
+    __slots__ = ("width", "modulus", "order", "tail_shifts", "_mask", "_small_log",
+                 "_small_exp")
 
     def __init__(self, width: int, modulus: int | None = None):
         if width < 1:
@@ -43,6 +44,12 @@ class GF2m:
                              % (self.modulus.bit_length() - 1, width))
         self.order = 1 << width
         self._mask = self.order - 1
+        #: Set-bit positions of the modulus tail ``modulus ^ 2^w``: since
+        #: ``x^w == tail`` in the field, reduction folds the bits above ``w``
+        #: back in as ``high << s`` for each ``s`` (``_reduce`` here and in
+        #: ``NumpyBulkOps``).
+        self.tail_shifts = tuple(shift for shift in range(width)
+                                 if self.modulus >> shift & 1)
         self._small_log = None
         self._small_exp = None
         if width <= 12:
@@ -74,7 +81,7 @@ class GF2m:
         """Find a multiplicative generator of the field (small fields only)."""
         group_order = self.order - 1
         factors = _distinct_prime_factors(group_order)
-        for candidate in range(2, self.order):
+        for candidate in range(1, self.order):
             if all(self._pow_nocache(candidate, group_order // q) != 1 for q in factors):
                 return candidate
         raise RuntimeError("no generator found; modulus is likely reducible")
@@ -103,11 +110,22 @@ class GF2m:
         return self._reduce(product)
 
     def _reduce(self, value: int) -> int:
-        """Reduce a polynomial of degree < 2w modulo the field polynomial."""
+        """Reduce a polynomial of any degree modulo the field polynomial.
+
+        Folds by the modulus tail: ``value = low + high * x^w`` becomes
+        ``low + high * tail``, repeated until nothing is left above ``x^w``.
+        Each pass lowers the degree by ``w - deg(tail)``, so a product of
+        degree ``< 2w`` takes a few passes instead of one per excess bit.
+        """
         width = self.width
-        modulus = self.modulus
-        while value.bit_length() > width:
-            value ^= modulus << (value.bit_length() - 1 - width)
+        mask = self._mask
+        shifts = self.tail_shifts
+        high = value >> width
+        while high:
+            value &= mask
+            for shift in shifts:
+                value ^= high << shift
+            high = value >> width
         return value
 
     def square(self, a: int) -> int:
@@ -139,8 +157,20 @@ class GF2m:
             raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^w)")
         if self._small_log is not None:
             return self._small_exp[(self.order - 1) - self._small_log[a]]
-        # a^(2^w - 2) == a^{-1}
-        return self._pow_nocache(a, self.order - 2)
+        # Extended Euclid over GF(2)[x], keeping u == g * a (mod modulus) and
+        # v == h * a; u reaches 1 because the modulus is irreducible.
+        u, v, g, h = self._reduce(a), self.modulus, 1, 0
+        while u != 1:
+            if u == 0:
+                raise ZeroDivisionError("0x%x has no inverse modulo the reducible "
+                                        "polynomial 0x%x" % (a, self.modulus))
+            shift = u.bit_length() - v.bit_length()
+            if shift < 0:
+                u, v, g, h = v, u, h, g
+                shift = -shift
+            u ^= v << shift
+            g ^= h << shift
+        return g
 
     def div(self, a: int, b: int) -> int:
         """Field division ``a / b``."""
@@ -184,24 +214,22 @@ class GF2m:
 class FixedMultiplier:
     """Windowed multiplication by a fixed field element.
 
-    Building the window table costs 15 additions; each subsequent product
+    Building the 16-entry window table costs a dozen XORs; each product
     costs ``w/4`` table lookups plus one reduction, which is several times
     faster than the generic bit-by-bit product when the same multiplicand is
     reused many times (e.g. computing all the powers of one edge ID).
     """
-
-    _WINDOW = 4
 
     __slots__ = ("field", "value", "_table")
 
     def __init__(self, field: GF2m, value: int):
         self.field = field
         self.value = value
-        table = [0] * (1 << self._WINDOW)
-        for nibble in range(1, 1 << self._WINDOW):
-            low = nibble & -nibble
-            table[nibble] = table[nibble ^ low] ^ (value << (low.bit_length() - 1))
-        self._table = table
+        v1, v2, v4, v8 = value, value << 1, value << 2, value << 3
+        v3, v12 = v1 ^ v2, v4 ^ v8
+        self._table = [0, v1, v2, v3, v4, v4 ^ v1, v4 ^ v2, v4 ^ v3,
+                       v8, v8 ^ v1, v8 ^ v2, v8 ^ v3, v12, v12 ^ v1, v12 ^ v2,
+                       v12 ^ v3]
 
     def mul(self, other: int) -> int:
         """Return ``other * value`` in the field."""

@@ -42,6 +42,7 @@ class RSThresholdOutdetect(OutdetectScheme):
     bulk:
         Bulk GF(2^w) backend used for construction and label combination;
         auto-selected when omitted (numpy bit-sliced when available).
+        Syndrome decoding always runs on the pure-Python backend.
     """
 
     deterministic = True
@@ -54,7 +55,7 @@ class RSThresholdOutdetect(OutdetectScheme):
         self.adaptive = adaptive
         self.bulk = bulk if bulk is not None else get_bulk_ops(field)
         self._encoder = SyndromeEncoder(field, threshold, bulk=self.bulk)
-        self._decoder = SparseRecoveryDecoder(field, threshold, bulk=self.bulk)
+        self._decoder = SparseRecoveryDecoder(field, threshold)
         self.edge_ids = dict(edge_ids)
         self._build_labels(list(vertices))
 
@@ -77,7 +78,7 @@ class RSThresholdOutdetect(OutdetectScheme):
         scheme.adaptive = adaptive
         scheme.bulk = bulk if bulk is not None else get_bulk_ops(field)
         scheme._encoder = SyndromeEncoder(field, threshold, bulk=scheme.bulk)
-        scheme._decoder = SparseRecoveryDecoder(field, threshold, bulk=scheme.bulk)
+        scheme._decoder = SparseRecoveryDecoder(field, threshold)
         scheme.edge_ids = {}
         scheme._labels = {}
         return scheme

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.coding.berlekamp_massey import berlekamp_massey, berlekamp_massey_many
-from repro.coding.rootfind import chien_roots, find_roots, find_roots_bulk, find_roots_many
+from repro.coding.rootfind import find_roots, find_roots_many
 from repro.coding.rs_decoder import DecodeFailure, SparseRecoveryDecoder
 from repro.coding.syndrome import SyndromeEncoder
 from repro.gf2.bulk import NumpyBulkOps, PyBulkOps, numpy_available
@@ -104,13 +104,7 @@ def test_root_finding_strategies_agree(field, bulk):
                                      for _ in range(rng.randrange(2, 6))]))
     polys = [poly for poly in polys if not poly.is_zero()]
     reference = [find_roots(poly) for poly in polys]
-    assert find_roots_many(polys, bulk) == reference
-    for poly, expected in zip(polys, reference):
-        assert find_roots_bulk(poly, bulk) == expected
-        # The exhaustive Chien sweep is O(order * degree); spot-check it on
-        # the small fields only (the dispatch guard keeps it off big ones).
-        if poly.degree > 0 and field.order <= (1 << 12):
-            assert chien_roots(poly, bulk) == expected
+    assert find_roots_many(polys) == reference
 
 
 @pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)

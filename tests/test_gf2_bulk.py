@@ -11,11 +11,14 @@ import random
 
 import pytest
 
-from repro.gf2.bulk import (BackendUnavailable, NumpyBulkOps, PyBulkOps,
-                            available_backends, get_bulk_ops, numpy_available)
+from repro.gf2.bulk import (NUMPY_MAX_WIDTH, BackendUnavailable, NumpyBulkOps,
+                            PyBulkOps, available_backends, get_bulk_ops,
+                            numpy_available)
 from repro.gf2.field import GF2m
+from repro.gf2.irreducible import DEFAULT_IRREDUCIBLES
 from repro.outdetect.rs_threshold import RSThresholdOutdetect
 from repro.outdetect.sketch import SketchOutdetect
+from test_gf2_field import reduction_inputs, reference_reduce
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
@@ -43,6 +46,22 @@ def test_mul_many_matches_scalar_field_ops(width):
         assert backend.mul_many(elements, scalar) == expected_scaled, backend.name
         assert backend.mul_many(elements, others) == expected_pairwise, backend.name
         assert backend.mul_many([], scalar) == []
+
+
+@needs_numpy
+@pytest.mark.parametrize("width", [width for width in sorted(DEFAULT_IRREDUCIBLES)
+                                   if width <= NUMPY_MAX_WIDTH])
+def test_numpy_fold_reduction_matches_bit_loop(width):
+    """The vectorized fold agrees with the reference bit loop on every
+    product degree a multiplication can produce (up to 2w-2)."""
+    import numpy
+
+    field = GF2m(width)
+    values = [value for value in reduction_inputs(field, width)
+              if value.bit_length() <= 2 * width - 1]
+    reduced = NumpyBulkOps(field)._reduce(numpy.asarray(values, dtype=numpy.uint64))
+    assert [int(x) for x in reduced] == \
+        [reference_reduce(value, field.modulus) for value in values]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -190,3 +209,21 @@ def test_scheme_construction_respects_env_backend(monkeypatch):
     assert forced.bulk.name == "python"
     for vertex in vertices:
         assert baseline.label_of(vertex) == forced.label_of(vertex)
+
+
+@needs_numpy
+def test_decode_is_pure_python_under_auto_backend(monkeypatch):
+    """numpy builds labels, but every RS decoder -- behind a built oracle and
+    behind a loaded snapshot -- runs on the pure-Python backend."""
+    from repro.api import Oracle
+    from repro.workloads import GraphFamily, make_graph
+
+    monkeypatch.setenv("REPRO_GF2_BACKEND", "auto")
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=3, density=2.0)
+    built = Oracle.build(graph, max_faults=2)
+    loaded = Oracle.load(built.to_snapshot_bytes())
+    built_levels = built.labeling.outdetect.level_schemes
+    assert {level.bulk.name for level in built_levels} == {"numpy"}
+    for levels in (built_levels, loaded.outdetect.level_schemes):
+        assert {level._decoder.bulk.name for level in levels} == {"python"}
+        assert {level._decoder._encoder.bulk.name for level in levels} == {"python"}

@@ -1,9 +1,12 @@
 """Unit and property tests for GF(2^w) arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gf2 import GF2m, find_irreducible, is_irreducible
+from repro.gf2.irreducible import DEFAULT_IRREDUCIBLES
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +36,68 @@ def test_reducible_polynomial_detected():
 def test_field_rejects_bad_width():
     with pytest.raises(ValueError):
         GF2m(0)
+
+
+def reference_reduce(value, modulus):
+    """The textbook reduction: cancel the top bit with a shifted modulus."""
+    width = modulus.bit_length() - 1
+    while value.bit_length() > width:
+        value ^= modulus << (value.bit_length() - 1 - width)
+    return value
+
+
+def reduction_inputs(field, seed):
+    """Products up to degree 2w-2 (the multiplication case), the extremes of
+    that range, and inputs far above 2^(2w) (the ``element()`` case).  The
+    extremes matter most on high tails: x^16 + x^12 + x^3 + x + 1 lowers the
+    degree by only four per fold, so x^30 needs four passes."""
+    rng = random.Random(seed)
+    width = field.width
+    values = [0, 1, field.order - 1, field.order, (1 << (2 * width - 1)) - 1,
+              1 << (2 * width - 2), (1 << (3 * width)) | 1, (1 << 200) - 1]
+    values += [rng.getrandbits(2 * width - 1) for _ in range(300)]
+    values += [rng.getrandbits(rng.randrange(2 * width, 8 * width + 64))
+               for _ in range(100)]
+    return values
+
+
+@pytest.mark.parametrize("width", sorted(DEFAULT_IRREDUCIBLES))
+def test_fold_reduction_matches_bit_loop(width):
+    field = GF2m(width)
+    assert field.tail_shifts == tuple(
+        shift for shift in range(width) if (field.modulus ^ field.order) >> shift & 1)
+    for value in reduction_inputs(field, width):
+        expected = reference_reduce(value, field.modulus)
+        assert field._reduce(value) == expected, value
+        assert field.element(value) == expected, value
+    rng = random.Random(width + 1)
+    for _ in range(100):
+        a, b = rng.randrange(field.order), rng.randrange(field.order)
+        product = 0
+        for bit in range(width):
+            if b >> bit & 1:
+                product ^= a << bit
+        expected = reference_reduce(product, field.modulus)
+        assert field._mul_nocache(a, b) == expected
+        assert field.multiplier(a).mul(b) == expected
+
+
+@pytest.mark.parametrize("width", sorted(DEFAULT_IRREDUCIBLES))
+def test_inverse_matches_fermat(width):
+    """Extended-Euclid inversion agrees with a^(2^w - 2) on every width."""
+    field = GF2m(width)
+    rng = random.Random(width + 2)
+    for a in [1, field.order - 1] + [rng.randrange(1, field.order) for _ in range(40)]:
+        inverse = field.inv(a)
+        assert inverse == field._pow_nocache(a, field.order - 2)
+        assert field._mul_nocache(a, inverse) == 1
+
+
+def test_inverse_fails_closed_on_a_reducible_modulus():
+    # x^14 + 1 = (x^7 + 1)^2 shares the factor x + 1 with 0b11.
+    ring = GF2m(14, modulus=(1 << 14) | 1)
+    with pytest.raises(ZeroDivisionError):
+        ring.inv(0b11)
 
 
 def test_add_is_xor(small_field):

@@ -109,6 +109,35 @@ def test_rehydrated_matches_full_oracle_api():
     assert rehydrated.max_faults == 2
 
 
+def test_decoded_edge_labels_are_bounded_and_released_on_close():
+    """Edge blobs stay bytes; at most SESSION_CACHE_SIZE x max_faults decoded
+    edge labels are held, answers still match the live scheme, and close()
+    drops them."""
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=40, seed=51, density=2.0)
+    labeling = FTCLabeling(graph, FTCConfig(max_faults=2))
+    oracle = load_snapshot(labeling.to_snapshot_bytes())
+    oracle.SESSION_CACHE_SIZE = 3
+    bound = oracle.SESSION_CACHE_SIZE * oracle.max_faults
+    rng = random.Random(52)
+    edges = sorted(graph.edges())
+    vertices = sorted(graph.vertices())
+    touched = set()
+    while len(touched) < 4 * bound:
+        faults = rng.sample(edges, 2)
+        touched.update(faults)
+        pairs = [tuple(rng.sample(vertices, 2)) for _ in range(10)]
+        assert oracle.connected_many(pairs, faults) == \
+            labeling.connected_many(pairs, faults)
+        assert len(oracle._decoded_edges) <= bound
+    assert len(oracle._decoded_edges) == bound
+    assert all(isinstance(blob, bytes) for blob in oracle._edge_labels.values())
+    # An evicted label decodes again on demand, equal to the live one.
+    u, v = next(iter(oracle._decoded_edges))
+    assert oracle.edge_label(u, v) == labeling.edge_label(u, v)
+    oracle.close()
+    assert not oracle._decoded_edges
+
+
 def test_snapshot_dataclass_round_trip():
     graph = make_graph(GraphFamily.ERDOS_RENYI, n=20, seed=11)
     labeling = FTCLabeling(graph, FTCConfig(max_faults=2))
