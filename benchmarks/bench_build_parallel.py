@@ -2,9 +2,9 @@
 
 The per-level outdetect builds of the scheme are independent by construction
 (and within a level the per-edge contributions are XOR terms), so the build
-plan of :mod:`repro.build` can fan them out to threads or processes.  This
-benchmark builds the same labeling with the serial, thread, and process
-executors and
+plan of :mod:`repro.build` can fan them out to worker processes.  This
+benchmark builds the same labeling with the serial and process executors
+and
 
 * **hard-asserts bit-identity**: all executors must produce byte-identical
   ``to_snapshot_bytes()`` artifacts — this assertion is never advisory;
@@ -61,7 +61,7 @@ def parallel_jobs() -> int:
 
 def executor_specs() -> list:
     jobs = parallel_jobs()
-    return ["serial", "thread:%d" % jobs, "process:%d" % jobs]
+    return ["serial", "process:%d" % jobs]
 
 
 def run_build_matrix(family, n, seed, max_faults, variant="det-nearlinear"):

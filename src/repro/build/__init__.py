@@ -1,12 +1,12 @@
 """``repro.build`` — one build contract, pluggable execution strategies.
 
 Mirror of the :mod:`repro.api` facade for the *construction* side: where the
-oracle protocol gave queries one contract with three transports, this package
-gives label construction one staged plan (:class:`BuildPlan`) with three
-conforming executors — :class:`SerialExecutor` (the default),
-:class:`ThreadExecutor`, and :class:`ProcessExecutor` (the multiprocessing
-fan-out of the independent per-level outdetect builds).  All three produce
-**byte-identical** labelings; executors only change how fast the shards run.
+oracle protocol gave queries one contract with several transports, this
+package gives label construction one staged plan (:class:`BuildPlan`) with two
+conforming executors — :class:`SerialExecutor` (the default) and
+:class:`ProcessExecutor` (the multiprocessing fan-out of the independent
+per-level outdetect builds).  Both produce **byte-identical** labelings;
+executors only change how fast the shards run.
 
 Every build entry point funnels through :func:`build_labeling`::
 
@@ -29,8 +29,8 @@ from typing import Any
 
 from repro.build.executors import (EXECUTOR_ENV_VAR, EXECUTOR_NAMES,
                                    BuildExecutor, ProcessExecutor,
-                                   SerialExecutor, ThreadExecutor,
-                                   available_executors, resolve_executor)
+                                   SerialExecutor, available_executors,
+                                   resolve_executor)
 from repro.build.plan import STAGES, BuildPlan, BuildReport, BuildResult
 
 
@@ -68,7 +68,6 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "STAGES",
-    "ThreadExecutor",
     "available_executors",
     "build_labeling",
     "resolve_executor",

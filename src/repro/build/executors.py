@@ -9,16 +9,11 @@ partition-insensitive, so **every executor produces bit-identical labelings**
 — the conformance suite in ``tests/test_build_executors.py`` asserts equality
 of whole-snapshot bytes.
 
-Three strategies conform to :class:`BuildExecutor`:
+Two strategies conform to :class:`BuildExecutor`:
 
 ``SerialExecutor``
     A plain comprehension on the calling thread.  The default; zero overhead,
     exactly the pre-``repro.build`` behavior.
-
-``ThreadExecutor``
-    A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  The GIL bounds
-    the speedup of pure-Python shards, but numpy-backed bulk kernels release
-    it, and threads avoid pickling entirely.
 
 ``ProcessExecutor``
     A shared :class:`~concurrent.futures.ProcessPoolExecutor` — the
@@ -29,15 +24,14 @@ Three strategies conform to :class:`BuildExecutor`:
 Selection is normalized by :func:`resolve_executor`; the
 ``REPRO_BUILD_EXECUTOR`` environment variable (mirroring
 ``REPRO_GF2_BACKEND``) overrides the default for whole runs, e.g.
-``REPRO_BUILD_EXECUTOR=process`` or ``REPRO_BUILD_EXECUTOR=thread:4``.
+``REPRO_BUILD_EXECUTOR=process`` or ``REPRO_BUILD_EXECUTOR=process:4``.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (BrokenExecutor, Executor, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import (TYPE_CHECKING, Callable, Protocol, Sequence,
                     runtime_checkable)
 
@@ -45,11 +39,11 @@ if TYPE_CHECKING:
     from multiprocessing.context import BaseContext
 
 #: Environment variable selecting the default executor
-#: (``serial`` / ``thread[:N]`` / ``process[:N]``).
+#: (``serial`` / ``process[:N]``).
 EXECUTOR_ENV_VAR = "REPRO_BUILD_EXECUTOR"
 
 #: The conforming strategy names, in documentation order.
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "process")
 
 
 def default_jobs() -> int:
@@ -92,35 +86,58 @@ class SerialExecutor:
         return "SerialExecutor()"
 
 
-class _PooledExecutor:
-    """Shared lazy-pool plumbing of the thread and process strategies.
+class ProcessExecutor:
+    """Fan shards out to a shared process pool (true CPU parallelism).
 
     The pool is created on first :meth:`map` and reused across builds (the
     tier-1 suite under ``REPRO_BUILD_EXECUTOR=process`` constructs dozens of
     labelings; one pool amortizes worker startup across all of them).  All
     pool handling is lock-protected so concurrent builds may share one
     executor instance.
+
+    Shard functions and tasks must be picklable: the plan only ever submits
+    the module-level :func:`repro.build.shards.build_shard` with plain-data
+    task dicts, so this holds by construction.
+
+    Measured with ``benchmarks/bench_build_parallel.py`` (pool warmed) on a
+    2-CPU host, ``process:2`` never beat serial: it ran at 0.66-1.0x of
+    serial speed at n=300, 0.69-0.72x at n=600 and 0.66-0.87x at n=1200,
+    across runs.  CI's ``bench-strict`` job, which gates a 1.5x speedup at
+    n=480 f=7, is the only place it is asserted to win.
     """
 
-    name = "abstract"
+    name = "process"
 
     def __init__(self, jobs: int | None = None):
         if jobs is not None and jobs < 1:
             raise ValueError("executor jobs must be at least 1, got %d" % jobs)
         self.jobs = jobs if jobs is not None else default_jobs()
-        self._pool: Executor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
         self._closed = False
 
-    def _make_pool(self) -> Executor:
-        raise NotImplementedError
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        import multiprocessing
 
-    def _ensure_pool(self) -> Executor:
         with self._lock:
             if self._closed:
-                raise RuntimeError("%s executor is closed" % self.name)
+                raise RuntimeError("process executor is closed")
             if self._pool is None:
-                self._pool = self._make_pool()
+                # The pool is created lazily, possibly after the embedding
+                # process grew threads (the query server's session workers,
+                # test harnesses) — plain fork from a threaded parent can
+                # deadlock a worker on an inherited lock.  forkserver forks
+                # every worker from one clean, single-threaded server process
+                # instead (the parent's sys.path travels in the spawn
+                # preparation data, so src-layout imports keep working);
+                # platforms without it (Windows) use their spawn default.
+                context: BaseContext | None
+                try:
+                    context = multiprocessing.get_context("forkserver")
+                except ValueError:  # pragma: no cover - no forkserver
+                    context = None
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                                 mp_context=context)
             return self._pool
 
     def map(self, fn: Callable, tasks: Sequence) -> list:
@@ -128,9 +145,9 @@ class _PooledExecutor:
         if len(tasks) <= 1:
             with self._lock:
                 if self._closed:
-                    raise RuntimeError("%s executor is closed" % self.name)
-            # One shard gains nothing from the pool; skip the round-trip (and,
-            # for processes, the pickling) entirely.
+                    raise RuntimeError("process executor is closed")
+            # One shard gains nothing from the pool; skip the round-trip and
+            # the pickling entirely.
             return [fn(task) for task in tasks]
         pool = self._ensure_pool()
         try:
@@ -153,50 +170,11 @@ class _PooledExecutor:
             pool.shutdown(wait=True)
 
     def __repr__(self) -> str:
-        return "%s(jobs=%d)" % (type(self).__name__, self.jobs)
-
-
-class ThreadExecutor(_PooledExecutor):
-    """Fan shards out to a shared thread pool (no pickling, GIL-bounded)."""
-
-    name = "thread"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self.jobs,
-                                  thread_name_prefix="repro-build")
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Fan shards out to a shared process pool (true CPU parallelism).
-
-    Shard functions and tasks must be picklable: the plan only ever submits
-    the module-level :func:`repro.build.shards.build_shard` with plain-data
-    task dicts, so this holds by construction.
-    """
-
-    name = "process"
-
-    def _make_pool(self) -> Executor:
-        import multiprocessing
-
-        # The pool is created lazily, possibly after the embedding process
-        # grew threads (the query server's session workers, test harnesses) —
-        # plain fork from a threaded parent can deadlock a worker on an
-        # inherited lock.  forkserver forks every worker from one clean,
-        # single-threaded server process instead (the parent's sys.path
-        # travels in the spawn preparation data, so src-layout imports keep
-        # working); platforms without it (Windows) use their spawn default.
-        context: BaseContext | None
-        try:
-            context = multiprocessing.get_context("forkserver")
-        except ValueError:  # pragma: no cover - platform without forkserver
-            context = None
-        return ProcessPoolExecutor(max_workers=self.jobs, mp_context=context)
+        return "ProcessExecutor(jobs=%d)" % self.jobs
 
 
 _EXECUTOR_CLASSES: dict[str, Callable[..., BuildExecutor]] = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
 
@@ -212,7 +190,7 @@ def available_executors() -> tuple:
 
 
 def _parse_spec(spec: str) -> tuple:
-    """Split ``"process:4"`` / ``"thread"`` / ``"serial"`` into (name, jobs)."""
+    """Split ``"process:4"`` / ``"process"`` / ``"serial"`` into (name, jobs)."""
     name, separator, count = spec.strip().lower().partition(":")
     jobs = None
     if separator:
@@ -250,9 +228,9 @@ def resolve_executor(executor: "BuildExecutor | str | None" = None,
 
     * a :class:`BuildExecutor` instance is used as-is (``jobs`` must then be
       omitted — two sources of truth would be ambiguous);
-    * a string spec (``"serial"``, ``"thread"``, ``"process"``, optionally
-      ``":N"``) selects a shared pooled instance; a separate ``jobs=`` fills
-      in the worker count when the spec has none;
+    * a string spec (``"serial"`` or ``"process"``, optionally ``":N"``)
+      selects a shared instance; a separate ``jobs=`` fills in the worker
+      count when the spec has none;
     * ``jobs=N`` alone means "just parallelize": ``N > 1`` selects the
       process executor with ``N`` workers, ``N == 1`` the serial one;
     * with neither given, the ``REPRO_BUILD_EXECUTOR`` environment variable
@@ -293,7 +271,6 @@ def resolve_executor(executor: "BuildExecutor | str | None" = None,
 __all__ = [
     "BuildExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "EXECUTOR_ENV_VAR",
     "EXECUTOR_NAMES",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,48 +107,24 @@ def resolve_ftc_config(max_faults: int | None = None,
       ``variant`` (enum or its string value), ``random_seed``, and any other
       :class:`FTCConfig` field as a keyword.
 
-    Passing loose parameters *alongside* ``config`` is deprecated: it warns,
-    and if any loose value disagrees with the config it raises ``ValueError``
-    (the one place the old ``max_faults``-vs-``config`` disagreement check now
-    lives).
+    Passing loose parameters *alongside* ``config`` raises ``TypeError``.
     """
-    if variant is not None and not isinstance(variant, SchemeVariant):
-        variant = SchemeVariant(variant)
     if config is not None:
         if not isinstance(config, FTCConfig):
             raise TypeError("config must be an FTCConfig, got %r"
                             % type(config).__name__)
-        known = {field.name for field in dataclasses.fields(FTCConfig)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            # Same failure mode as the loose path's FTCConfig(**fields):
-            # a typo'd keyword must be a TypeError, not an AttributeError
-            # from the disagreement check below.
-            raise TypeError("unknown FTCConfig field(s): %s" % ", ".join(unknown))
-        legacy = dict(overrides)
-        if max_faults is not None:
-            legacy["max_faults"] = max_faults
-        if variant is not None:
-            legacy["variant"] = variant
-        if random_seed is not None:
-            legacy["random_seed"] = random_seed
-        if legacy:
-            warnings.warn(
-                "passing %s alongside config= is deprecated; pass one "
-                "FTCConfig (or only loose parameters) instead"
-                % "/".join(sorted(legacy)),
-                DeprecationWarning, stacklevel=3)
-            disagreements = {name: value for name, value in legacy.items()
-                             if getattr(config, name) != value}
-            if disagreements:
-                raise ValueError(
-                    "explicit arguments disagree with config: "
-                    + ", ".join("%s=%r vs config.%s=%r"
-                                % (name, value, name, getattr(config, name))
-                                for name, value in sorted(disagreements.items())))
+        named = {"max_faults": max_faults, "variant": variant,
+                 "random_seed": random_seed}
+        loose = sorted(set(overrides).union(
+            name for name, value in named.items() if value is not None))
+        if loose:
+            raise TypeError("pass config= or loose parameters, not both "
+                            "(got config= with %s)" % ", ".join(loose))
         return config
     if max_faults is None:
         raise TypeError("either max_faults or config is required")
+    if variant is not None and not isinstance(variant, SchemeVariant):
+        variant = SchemeVariant(variant)
     fields = dict(overrides, max_faults=max_faults)
     if variant is not None:
         fields["variant"] = variant
@@ -165,8 +139,8 @@ def resolve_build_executor(executor=None, jobs: int | None = None):
     sibling of :func:`resolve_ftc_config`.
 
     Accepts an executor instance, a spec string (``"serial"`` /
-    ``"thread[:N]"`` / ``"process[:N]"``), or a bare ``jobs=N`` ("just
-    parallelize": processes for ``N > 1``); with neither, the
+    ``"process[:N]"``), or a bare ``jobs=N`` ("just parallelize": processes
+    for ``N > 1``); with neither, the
     ``REPRO_BUILD_EXECUTOR`` environment variable decides and its absence
     means serial.  See :func:`repro.build.executors.resolve_executor` for the
     full precedence rules (imported lazily — configuration stays importable

@@ -241,8 +241,8 @@ class LabelBackedQueries:
         if executor.name == "process":
             tasks = self._session_worker_tasks(label_lists)
         if tasks is None:
-            # Serial and thread strategies (and schemes without a snapshot
-            # descriptor) construct in-process; threads need no pickling.
+            # The serial strategy (and schemes without a snapshot
+            # descriptor) construct in-process.
             return executor.map(
                 lambda labels: BatchQuerySession(self.outdetect, self.codec, labels),
                 label_lists)

@@ -259,19 +259,16 @@ class SessionManager:
         self.metrics.add_queries(len(answers))
         return answers
 
-    async def prewarm_sessions(self, fault_sets: Sequence[Iterable],
-                               executor=None, jobs: int | None = None) -> int:
+    async def prewarm_sessions(self, fault_sets: Sequence[Iterable]) -> int:
         """Construct the sessions of many distinct fault sets ahead of traffic.
 
         Cold-start helper for restarts: feed it the hottest fault sets (e.g.
         the ones ``stats`` reported before the restart) and every one of them
         becomes a session-cache hit before the first client arrives.  The
-        fan-out runs through the oracle's executor-backed
-        :meth:`~repro.core.ftc.LabelBackedQueries.build_sessions` —
-        ``executor`` / ``jobs`` select the strategy via
-        :func:`~repro.build.executors.resolve_executor` — on a worker thread,
-        never on the event loop.  Returns the number of sessions built or
-        refreshed.
+        fan-out runs through the oracle's
+        :meth:`~repro.core.ftc.LabelBackedQueries.build_sessions` on a worker
+        thread, never on the event loop.  Returns the number of sessions
+        built or refreshed.
         """
         loop = asyncio.get_running_loop()
         fault_lists = [list(faults) for faults in fault_sets]
@@ -282,10 +279,7 @@ class SessionManager:
             with self.tracer.span("session.prewarm",
                                   fault_sets=len(fault_lists)):
                 sessions = await loop.run_in_executor(
-                    self._executor,
-                    lambda: oracle.build_sessions(fault_lists,
-                                                  executor=executor,
-                                                  jobs=jobs))
+                    self._executor, oracle.build_sessions, fault_lists)
         finally:
             self._release_oracle(epoch)
         return len({session.key for session in sessions})

@@ -273,7 +273,7 @@ def _session_workload(seed=11, n=30, num_sets=4, max_faults=3):
     return graph, labeling, fault_sets, pairs
 
 
-@pytest.mark.parametrize("spec", ["serial", "thread:2", "process:2"])
+@pytest.mark.parametrize("spec", ["serial", "process:2"])
 def test_build_sessions_executors_agree(spec):
     """Every executor builds the same decompositions a warm cache would hold."""
     graph, labeling, fault_sets, pairs = _session_workload()
@@ -314,7 +314,7 @@ def test_prewarm_sessions_primes_the_server_cache():
     async def scenario():
         manager = SessionManager(labeling)
         try:
-            count = await manager.prewarm_sessions(fault_sets, jobs=1)
+            count = await manager.prewarm_sessions(fault_sets)
             assert count == len(fault_sets)
             assert await manager.prewarm_sessions([]) == 0
             await manager.session(fault_sets[0])

@@ -1,8 +1,8 @@
 """Conformance suite for the build executors (:mod:`repro.build`).
 
-One build contract, three execution strategies: the same ``(graph, config)``
-scenarios are constructed with the serial, thread, and process executors, and
-the resulting labelings must be **byte-identical** — asserted on whole
+One build contract, two execution strategies: the same ``(graph, config)``
+scenarios are constructed with the serial and process executors, and the
+resulting labelings must be **byte-identical** — asserted on whole
 ``to_snapshot_bytes()`` snapshots, which cover every vertex label, edge
 label, and outdetect parameter.  Also covered: executor resolution (specs,
 ``jobs`` semantics, the ``REPRO_BUILD_EXECUTOR`` environment override),
@@ -20,15 +20,14 @@ import pytest
 from repro.api import Oracle, open_oracle, parse_build_query
 from repro.build import (EXECUTOR_ENV_VAR, STAGES, BuildExecutor, BuildPlan,
                         BuildReport, ProcessExecutor, SerialExecutor,
-                        ThreadExecutor, available_executors, build_labeling,
-                        resolve_executor)
+                        available_executors, build_labeling, resolve_executor)
 from repro.build.plan import _chunks
 from repro.build.shards import build_shard, merge_shards, rs_shard_task
 from repro.core.config import FTCConfig, SchemeVariant, resolve_build_executor
 from repro.core.ftc import FTCLabeling
 from repro.workloads import GraphFamily, make_graph
 
-EXECUTORS = ("serial", "thread:2", "process:2")
+EXECUTORS = ("serial", "process:2")
 
 
 def scenario_configs():
@@ -53,14 +52,14 @@ def graphs():
 # ------------------------------------------------------------- conformance
 
 def test_executors_satisfy_the_protocol():
-    for executor in (SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2)):
+    for executor in (SerialExecutor(), ProcessExecutor(2)):
         assert isinstance(executor, BuildExecutor)
         assert executor.name in available_executors()
         assert executor.jobs >= 1
 
 
 def test_byte_identical_snapshots_across_executors(graphs):
-    """The acceptance criterion: same scenario set, three executors, equal
+    """The acceptance criterion: same scenario set, both executors, equal
     snapshot bytes everywhere."""
     for graph_name, graph in graphs.items():
         for config in scenario_configs():
@@ -89,10 +88,10 @@ def test_parallel_answers_match_ground_truth(graphs):
 
 def test_build_report_shape(graphs):
     labeling = FTCLabeling(graphs["er"], FTCConfig(max_faults=2),
-                           executor=ThreadExecutor(2))
+                           executor="process:2")
     report = labeling.build_report
     assert isinstance(report, BuildReport)
-    assert report.executor == "thread"
+    assert report.executor == "process"
     assert report.jobs == 2
     assert tuple(report.stage_seconds) == STAGES
     assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
@@ -100,7 +99,7 @@ def test_build_report_shape(graphs):
     assert report.level_count >= 1
     assert report.shard_count >= report.level_count
     payload = report.to_dict()
-    assert payload["executor"] == "thread"
+    assert payload["executor"] == "process"
     json.dumps(payload)  # must be JSON-ready for the CLI
     assert labeling.construction_seconds == report.total_seconds
     # Per-stage peak memory rides along (RSS probe on POSIX, else empty).
@@ -137,7 +136,7 @@ def test_report_shard_count_scales_with_jobs(graphs):
     serial = FTCLabeling(graphs["er"], FTCConfig(max_faults=2),
                          executor="serial")
     parallel = FTCLabeling(graphs["er"], FTCConfig(max_faults=2),
-                           executor=ThreadExecutor(4))
+                           executor="process:2")
     assert serial.build_report.executor == "serial"
     assert serial.build_report.shard_count == serial.build_report.level_count
     assert parallel.build_report.shard_count > parallel.build_report.level_count
@@ -147,9 +146,9 @@ def test_report_shard_count_scales_with_jobs(graphs):
 
 def test_resolve_executor_specs():
     assert resolve_executor("serial").name == "serial"
-    assert resolve_executor("thread").name == "thread"
+    assert resolve_executor("process").name == "process"
     assert resolve_executor("process:3").jobs == 3
-    assert resolve_executor("THREAD:2").name == "thread"
+    assert resolve_executor("PROCESS:2").name == "process"
     # String specs resolve to shared instances (one pool per spec).
     assert resolve_executor("process:3") is resolve_executor("process:3")
 
@@ -160,12 +159,13 @@ def test_resolve_executor_jobs_semantics():
     assert parallel.name == "process"
     assert parallel.jobs == 2
     # A spec without a count takes the separate jobs= as its worker bound.
-    assert resolve_executor("thread", jobs=5).jobs == 5
+    assert resolve_executor("process", jobs=5).jobs == 5
 
 
 def test_resolve_executor_rejects_bad_input():
-    with pytest.raises(ValueError):
-        resolve_executor("fibers")
+    for spec in ("fibers", "thread", "thread:2"):
+        with pytest.raises(ValueError, match="serial, process"):
+            resolve_executor(spec)
     with pytest.raises(ValueError):
         resolve_executor("process:0")
     with pytest.raises(ValueError):
@@ -181,19 +181,20 @@ def test_resolve_executor_rejects_bad_input():
 
 
 def test_resolve_executor_instance_passthrough():
-    executor = ThreadExecutor(2)
+    executor = ProcessExecutor(2)
     assert resolve_executor(executor) is executor
     assert resolve_executor(executor, jobs=2) is executor
 
 
 def test_env_override_selects_the_default(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread:2")
-    assert resolve_executor().name == "thread"
+    monkeypatch.setenv(EXECUTOR_ENV_VAR, "process:2")
+    assert resolve_executor().name == "process"
     # Explicit arguments beat the environment.
     assert resolve_executor("serial").name == "serial"
-    monkeypatch.setenv(EXECUTOR_ENV_VAR, "fibers")
-    with pytest.raises(ValueError):
-        resolve_executor()
+    for spec in ("fibers", "thread"):
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, spec)
+        with pytest.raises(ValueError, match="serial, process"):
+            resolve_executor()
     monkeypatch.delenv(EXECUTOR_ENV_VAR)
     assert resolve_executor().name == "serial"
 
@@ -203,11 +204,11 @@ def test_resolve_build_executor_joins_config_resolution(monkeypatch):
     monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
     assert resolve_build_executor().name == "serial"
     assert resolve_build_executor(jobs=2).name == "process"
-    assert resolve_build_executor("thread:2").name == "thread"
+    assert resolve_build_executor("process:2").name == "process"
 
 
 def test_closed_pooled_executor_refuses_work():
-    executor = ThreadExecutor(2)
+    executor = ProcessExecutor(2)
     assert executor.map(len, [[1], [1, 2]]) == [1, 2]
     executor.close()
     executor.close()  # idempotent
@@ -231,9 +232,9 @@ def test_broken_process_pool_recovers_on_the_next_map():
 
 
 def test_closing_a_shared_executor_does_not_poison_the_cache():
-    first = resolve_executor("thread:3")
+    first = resolve_executor("process:3")
     first.close()
-    fresh = resolve_executor("thread:3")
+    fresh = resolve_executor("process:3")
     assert fresh is not first
     assert fresh.map(len, [[1], [1, 2]]) == [1, 2]
 
@@ -271,8 +272,8 @@ def test_open_oracle_uri_jobs(tmp_path, graphs):
     with open_oracle("build:%s?jobs=2" % edges, max_faults=2) as oracle:
         assert oracle.build_report.executor == "process"
         assert oracle.build_report.jobs == 2
-    with open_oracle("build:%s?executor=thread:2" % edges, max_faults=2) as oracle:
-        assert oracle.build_report.executor == "thread"
+    with open_oracle("build:%s?executor=serial" % edges, max_faults=2) as oracle:
+        assert oracle.build_report.executor == "serial"
 
 
 def test_open_oracle_rejects_jobs_on_constructed_transports():
@@ -286,8 +287,8 @@ def test_open_oracle_rejects_jobs_on_constructed_transports():
 def test_parse_build_query():
     assert parse_build_query("edges.txt") == ("edges.txt", {})
     assert parse_build_query("edges.txt?jobs=4") == ("edges.txt", {"jobs": 4})
-    assert parse_build_query("?executor=thread:2&jobs=2") == \
-        ("", {"executor": "thread:2", "jobs": 2})
+    assert parse_build_query("?executor=process:2&jobs=2") == \
+        ("", {"executor": "process:2", "jobs": 2})
     with pytest.raises(ValueError):
         parse_build_query("edges.txt?jobs=zero")
     with pytest.raises(ValueError):

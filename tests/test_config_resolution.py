@@ -1,12 +1,10 @@
 """Direct coverage of :func:`repro.core.config.resolve_ftc_config`.
 
 The resolver is the single normalization point behind ``Oracle.build``, the
-CLI, and the :class:`~repro.core.oracle.FTConnectivityOracle` shim.  Its
-legacy path — loose parameters passed *alongside* ``config=`` — was until now
-only exercised indirectly through the oracle constructor; these tests pin the
-contract down at the source: the exact deprecation warning, agreement
-passing through, disagreement raising ``ValueError``, and typo'd keywords
-raising ``TypeError``.
+CLI, and the :class:`~repro.core.oracle.FTConnectivityOracle` shim.  These
+tests pin its contract down at the source: exactly one of ``config=`` or
+loose parameters, and loose parameters passed *alongside* ``config=`` —
+agreeing, disagreeing, or typo'd — raise ``TypeError``.
 """
 
 import warnings
@@ -52,60 +50,58 @@ def test_config_must_be_an_ftcconfig():
         resolve_ftc_config(config={"max_faults": 2})
 
 
-# ------------------------------------------------- the legacy (dual) shape
+# ------------------------------------ config= plus loose parameters is refused
 
-def test_redundant_max_faults_alongside_config_warns_and_returns_config():
-    config = FTCConfig(max_faults=2)
-    with pytest.warns(DeprecationWarning,
-                      match=r"passing max_faults alongside config= is "
-                            r"deprecated; pass one FTCConfig"):
-        assert resolve_ftc_config(max_faults=2, config=config) is config
+@pytest.mark.parametrize("loose", [
+    {"max_faults": 2},
+    {"adaptive_decoding": False},
+], ids=["agreeing-max-faults", "agreeing-field-override"])
+def test_loose_parameters_alongside_config_raise(loose):
+    config = FTCConfig(max_faults=2, adaptive_decoding=False)
+    with pytest.raises(TypeError, match="not both") as excinfo:
+        resolve_ftc_config(config=config, **loose)
+    for name in loose:  # the message names every offending parameter
+        assert name in str(excinfo.value)
 
 
 def test_warning_names_every_redundant_parameter():
+    """Agreeing loose parameters are refused outright — no deprecation
+    warning any more — and the error names each of them."""
     config = FTCConfig(max_faults=2, random_seed=5)
-    with pytest.warns(DeprecationWarning, match="max_faults/random_seed"):
-        resolve_ftc_config(max_faults=2, config=config, random_seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would fail the test
+        with pytest.raises(TypeError,
+                           match=r"got config= with max_faults, random_seed"):
+            resolve_ftc_config(max_faults=2, config=config, random_seed=5)
 
 
 def test_disagreeing_max_faults_raises():
     config = FTCConfig(max_faults=2)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError,
-                           match=r"max_faults=3 vs config\.max_faults=2"):
-            resolve_ftc_config(max_faults=3, config=config)
+    with pytest.raises(TypeError, match=r"not both \(got config= with max_faults\)"):
+        resolve_ftc_config(max_faults=3, config=config)
 
 
 def test_disagreeing_variant_and_seed_list_every_field():
     config = FTCConfig(max_faults=2, random_seed=1)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError) as excinfo:
-            resolve_ftc_config(config=config, variant="rand-full", random_seed=4)
+    with pytest.raises(TypeError) as excinfo:
+        resolve_ftc_config(config=config, variant="rand-full", random_seed=4)
     message = str(excinfo.value)
-    assert "random_seed=4 vs config.random_seed=1" in message
+    assert "random_seed" in message
     assert "variant" in message
-
-
-def test_agreeing_overrides_pass_through_with_a_warning():
-    config = FTCConfig(max_faults=2, adaptive_decoding=False)
-    with pytest.warns(DeprecationWarning):
-        assert resolve_ftc_config(config=config, adaptive_decoding=False) is config
 
 
 def test_unknown_field_alongside_config_is_a_type_error():
     config = FTCConfig(max_faults=2)
-    with pytest.raises(TypeError, match="unknown FTCConfig field"):
+    with pytest.raises(TypeError, match="max_fautls"):
         resolve_ftc_config(config=config, max_fautls=2)  # the typo'd keyword
 
 
 def test_oracle_shim_still_routes_through_the_resolver():
     """The legacy FTConnectivityOracle(graph, max_faults, config=...) shape
-    reaches the same warning (end-to-end check of the shim)."""
+    reaches the same TypeError (end-to-end check of the shim)."""
     from repro.core.oracle import FTConnectivityOracle
     from repro.graphs.graph import Graph
 
     graph = Graph([("a", "b"), ("b", "c"), ("c", "a")])
-    config = FTCConfig(max_faults=1)
-    with pytest.warns(DeprecationWarning, match="alongside config="):
-        oracle = FTConnectivityOracle(graph, 1, config=config)
-    assert oracle.max_faults == 1
+    with pytest.raises(TypeError, match="not both"):
+        FTConnectivityOracle(graph, 1, config=FTCConfig(max_faults=1))

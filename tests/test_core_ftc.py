@@ -179,15 +179,9 @@ def test_oracle_audit_perfect_for_deterministic():
 
 
 def test_oracle_config_mismatch_rejected():
-    import warnings
-
     graph = random_connected_graph(10, 20, seed=18)
-    with warnings.catch_warnings():
-        # Passing both max_faults and config is the deprecated dual shape
-        # (tests/test_oracle_protocol.py covers the warning itself).
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(ValueError):
-            FTConnectivityOracle(graph, max_faults=2, config=FTCConfig(max_faults=3))
+    with pytest.raises(TypeError):
+        FTConnectivityOracle(graph, max_faults=2, config=FTCConfig(max_faults=3))
 
 
 def test_oracle_audit_surfaces_programming_errors():

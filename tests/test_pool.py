@@ -1,11 +1,8 @@
-"""The ``repro.pool`` serving tier: pooled oracle, pre-warm file, front-end.
+"""The ``repro.pool`` serving tier: pre-warm file and ``--workers`` fleet.
 
-The transport conformance itself (bit-identity, error contract, stats shape)
-runs in ``tests/test_oracle_protocol.py``, where ``"pool"`` is one of the
-``TRANSPORTS``.  This file covers what is specific to the tier: the pooled
-oracle's lifecycle and fan-out, the hot-key pre-warm sidecar (atomic save,
-fail-soft load, ranked extraction from the session manager), and the
-SO_REUSEPORT front-end's building blocks.
+Covers the hot-key pre-warm sidecar (atomic save, fail-soft load, ranked
+extraction from the session manager) and the SO_REUSEPORT front-end's
+building blocks, up to an end-to-end fleet run.
 """
 
 import json
@@ -15,9 +12,7 @@ import socket
 import pytest
 
 from repro.api import Oracle
-from repro.errors import OracleClosedError, TransportError
-from repro.pool import (PooledOracle, hot_keys_path, load_hot_fault_sets,
-                        save_hot_fault_sets)
+from repro.pool import hot_keys_path, load_hot_fault_sets, save_hot_fault_sets
 from repro.pool.frontend import _reserve_port, _worker_metrics_port
 from repro.server.session_manager import SessionManager
 from repro.workloads import GraphFamily, make_graph
@@ -36,81 +31,12 @@ def snapshot_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def world(snapshot_path):
-    graph = make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12, seed=3, density=1.4)
-    reference = Oracle.load(snapshot_path)
-    pool = Oracle.pool(snapshot_path, workers=2)
+def reference(snapshot_path):
+    oracle = Oracle.load(snapshot_path)
     try:
-        yield graph, reference, pool
+        yield oracle
     finally:
-        pool.close()
-        reference.close()
-
-
-# ------------------------------------------------------------ pooled oracle
-
-
-def test_pool_requires_at_least_one_worker(snapshot_path):
-    with pytest.raises(ValueError):
-        PooledOracle(snapshot_path, workers=0)
-
-
-def test_pool_validates_the_artifact_up_front(tmp_path):
-    with pytest.raises(Exception):
-        PooledOracle(tmp_path / "missing.ftcs", workers=1)
-
-
-def test_pool_answers_match_the_snapshot_transport(world):
-    graph, reference, pool = world
-    edges = sorted(graph.edges())
-    vertices = sorted(graph.vertices())
-    import random
-
-    rng = random.Random(9)
-    for _ in range(6):
-        faults = rng.sample(edges, rng.randint(0, MAX_FAULTS))
-        pairs = [tuple(rng.sample(vertices, 2)) for _ in range(10)]
-        assert pool.connected_many(pairs, faults) == \
-            reference.connected_many(pairs, faults)
-
-
-def test_pool_batch_session_pins_faults_and_reports_structure(world):
-    graph, reference, pool = world
-    faults = sorted(graph.edges())[:MAX_FAULTS]
-    vertices = sorted(graph.vertices())
-    session = pool.batch_session(faults)
-    ref_session = reference.batch_session(faults)
-    assert session.num_components() == ref_session.num_components()
-    assert session.num_fragments() == ref_session.num_fragments()
-    pairs = [(vertices[0], vertices[-1]), (vertices[1], vertices[4])]
-    assert session.connected_many(pairs) == \
-        reference.connected_many(pairs, faults)
-
-
-def test_pool_counts_queries_and_reports_workers(world):
-    _, _, pool = world
-    before = pool.queries_answered
-    graph_vertices = sorted(make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12,
-                                       seed=3, density=1.4).vertices())
-    pool.connected_many([(graph_vertices[0], graph_vertices[1])], [])
-    stats = pool.stats()
-    assert stats.transport == "pool"
-    assert stats.extra["pool"]["workers"] == 2
-    assert pool.queries_answered == before + 1
-
-
-def test_pool_close_is_idempotent_and_post_close_raises(snapshot_path):
-    pool = Oracle.pool(snapshot_path, workers=1)
-    vertices = sorted(make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12, seed=3,
-                                 density=1.4).vertices())
-    with pool:
-        assert pool.connected(vertices[0], vertices[1], []) in (True, False)
-    pool.close()  # second close must not raise
-    with pytest.raises(OracleClosedError):
-        pool.connected(vertices[0], vertices[1], [])
-    # The post-close error is part of the shared transport hierarchy.
-    with pytest.raises(TransportError):
-        pool.batch_session([])
+        oracle.close()
 
 
 # ------------------------------------------------------------ pre-warm file
@@ -153,8 +79,7 @@ def test_load_hot_fault_sets_missing_file_is_empty(tmp_path):
     assert load_hot_fault_sets(tmp_path / "nope.json") == []
 
 
-def test_session_manager_exposes_ranked_hot_fault_sets(world):
-    _, reference, _ = world
+def test_session_manager_exposes_ranked_hot_fault_sets(reference):
     manager = SessionManager(reference)
     try:
         hot = [("a", "b")]
@@ -170,10 +95,9 @@ def test_session_manager_exposes_ranked_hot_fault_sets(world):
         manager.close()
 
 
-def test_hot_fault_sets_survive_a_json_round_trip(tmp_path, world):
+def test_hot_fault_sets_survive_a_json_round_trip(tmp_path, reference):
     """What the server persists on shutdown is exactly what a restarted
     server can replay through ``prewarm_sessions``."""
-    _, reference, _ = world
     manager = SessionManager(reference)
     try:
         graph = make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12, seed=3,
