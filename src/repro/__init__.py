@@ -28,14 +28,13 @@ from repro.graphs import Graph
 from repro.hierarchy.config import ThresholdRule
 from repro.api import (Oracle, OracleProtocol, OracleStats, RemoteOracle,
                        open_oracle)
-from repro.build import BuildExecutor, BuildReport, build_labeling
+from repro.build import BuildReport, build_labeling
 from repro.errors import OracleError, TransportError
 
 __version__ = "1.2.0"
 
 __all__ = [
     "Graph",
-    "BuildExecutor",
     "BuildReport",
     "FTCConfig",
     "FTCLabeling",

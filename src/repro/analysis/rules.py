@@ -401,18 +401,9 @@ class LockContract:
 #: The race-detector-lite registry.  ``SessionManager._inflight`` is absent
 #: on purpose: it is event-loop-confined (mutated only from the loop thread),
 #: which a lexical rule cannot distinguish from a race — the confinement is
-#: documented at the attribute instead.  ``ServerMetrics`` itself now holds
-#: only registry metric objects (each thread-safe under its own lock, the
-#: ``repro.obs.registry`` contracts below); its legacy entry stays so any
-#: reintroduction of bare counters on the class is caught.
+#: documented at the attribute instead.  A class may carry several contracts
+#: (one per lock); each is checked.
 LOCK_CONTRACTS: tuple[LockContract, ...] = (
-    LockContract("src/repro/server/metrics.py", "ServerMetrics", "_lock",
-                 frozenset({
-                     "_requests", "_errors", "_latency_sum", "_latency_max",
-                     "_connections_opened", "_connections_active",
-                     "_session_hits", "_session_misses", "_session_coalesced",
-                     "_session_failures", "_queries_answered",
-                 })),
     LockContract("src/repro/server/session_manager.py", "SessionManager",
                  "_hot_lock", frozenset({"_hot_keys", "_hot_key_names",
                                          "_hot_key_faults"})),
@@ -460,12 +451,14 @@ class LockDisciplineRule(Rule):
         return any(contract.relpath == relpath for contract in LOCK_CONTRACTS)
 
     def check(self, module: ModuleFile) -> Iterator[Finding]:
-        contracts = {contract.class_name: contract
-                     for contract in LOCK_CONTRACTS
-                     if contract.relpath == module.relpath}
+        contracts: dict[str, list[LockContract]] = {}
+        for contract in LOCK_CONTRACTS:
+            if contract.relpath == module.relpath:
+                contracts.setdefault(contract.class_name, []).append(contract)
         for node in module.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name in contracts:
-                contract = contracts[node.name]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for contract in contracts.get(node.name, ()):
                 for method in node.body:
                     if isinstance(method, (ast.FunctionDef,
                                            ast.AsyncFunctionDef)) and \

@@ -54,8 +54,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping,
                     Protocol, Sequence, cast, runtime_checkable)
 
-from repro.core.config import (FTCConfig, SchemeVariant, resolve_build_executor,
-                               resolve_ftc_config)
+from repro.core.config import FTCConfig, SchemeVariant, resolve_ftc_config
 from repro.core.query import QueryFailure
 from repro.core.serialize import LabelDecodeError
 from repro.errors import (DeltaError, OracleClosedError, OracleError,
@@ -454,18 +453,13 @@ class Oracle:
               variant: SchemeVariant | str | None = None,
               random_seed: int | None = None,
               use_fast_engine: bool = True,
-              executor: Any = None, jobs: int | None = None,
               **overrides: Any) -> Any:
         """Construct labels for ``graph`` and return the "build" transport.
 
         Configuration is normalized through
         :func:`~repro.core.config.resolve_ftc_config`: pass either
         ``config=FTCConfig(...)`` or loose parameters, not both.  Construction
-        itself runs through the staged plan of :mod:`repro.build`;
-        ``executor`` / ``jobs`` select the execution strategy (``jobs=4``
-        fans the outdetect shards out to four processes) via
-        :func:`~repro.core.config.resolve_build_executor` — the labels are
-        byte-identical whichever strategy runs.
+        itself runs through the staged plan of :mod:`repro.build`.
         """
         from repro.core.oracle import FTConnectivityOracle
 
@@ -473,8 +467,7 @@ class Oracle:
                                       variant=variant, random_seed=random_seed,
                                       **overrides)
         return FTConnectivityOracle(graph, config=resolved,
-                                    use_fast_engine=use_fast_engine,
-                                    executor=resolve_build_executor(executor, jobs))
+                                    use_fast_engine=use_fast_engine)
 
     @staticmethod
     def load(source: Any) -> Any:
@@ -486,17 +479,16 @@ class Oracle:
     @staticmethod
     def build_delta(base: Any, graph: Any = None, *,
                     add_edges: Iterable = (), remove_edges: Iterable = (),
-                    use_fast_engine: bool = True,
-                    executor: Any = None, jobs: int | None = None) -> Any:
+                    use_fast_engine: bool = True) -> Any:
         """Rebuild a "build" transport oracle after a graph edit, incrementally.
 
         ``base`` is an oracle from :meth:`Oracle.build`; pass either the full
         target ``graph`` or the edit itself (``add_edges`` /
         ``remove_edges``).  Labels are reconstructed through
         :func:`repro.delta.incremental.incremental_labeling`, which patches
-        every base level whose structure survived the edit and falls back to
-        normal shard construction where it did not — the result (and its
-        snapshot) is byte-identical to a from-scratch build either way.
+        every base level whose structure survived the edit and builds the
+        other levels from their edges — the result (and its snapshot) is
+        byte-identical to a from-scratch build either way.
         """
         from repro.core.oracle import FTConnectivityOracle
         from repro.delta.incremental import incremental_labeling
@@ -510,8 +502,7 @@ class Oracle:
                 % getattr(base, "transport", "unknown"))
         labeling = incremental_labeling(base.labeling, graph,
                                         add_edges=add_edges,
-                                        remove_edges=remove_edges,
-                                        executor=resolve_build_executor(executor, jobs))
+                                        remove_edges=remove_edges)
         return FTConnectivityOracle.from_labeling(labeling.graph, labeling,
                                                   use_fast_engine=use_fast_engine)
 
@@ -527,57 +518,31 @@ def parse_oracle_uri(uri: str) -> tuple:
     Accepted forms: ``snapshot:PATH``, ``tcp://HOST:PORT``, ``build:PATH``
     (an edge-list file; the empty path means "caller supplies the graph"),
     and — as a convenience — a bare path ending in ``.ftcs``.  ``build:``
-    URIs additionally accept a query string of construction options
-    (``build:edges.txt?jobs=4``), split off by :func:`parse_build_query`.
-    Multi-core serving is ``repro serve --workers N``, not a URI scheme.
+    URIs take no options: a query string (``build:edges.txt?jobs=4``) is a
+    :class:`ValueError`, not a path to look for.  Multi-core serving is
+    ``repro serve --workers N``, not a URI scheme.
     """
     if not isinstance(uri, str):
         raise TypeError("oracle URI must be a string, got %r" % type(uri).__name__)
     for scheme, kind in (("tcp://", "tcp"), ("snapshot:", "snapshot"),
                          ("build:", "build")):
         if uri.startswith(scheme):
-            return kind, uri[len(scheme):]
+            rest = uri[len(scheme):]
+            if kind == "build" and "?" in rest:
+                raise ValueError("build: oracle URIs take no options, got %r"
+                                 % (uri,))
+            return kind, rest
     if uri.endswith(".ftcs"):
         return "snapshot", uri
     raise ValueError("unsupported oracle URI %r (expected snapshot:PATH, "
                      "tcp://HOST:PORT, or build:EDGELIST)" % (uri,))
 
 
-def parse_build_query(rest: str) -> tuple:
-    """Split a ``build:`` URI remainder into ``(path, options)``.
-
-    The query string accepts ``jobs=N`` (a positive integer) and
-    ``executor=SPEC`` (a :func:`~repro.core.config.resolve_build_executor`
-    spec such as ``process:4``); anything else is a :class:`ValueError`, so
-    typos fail loudly instead of silently building serially.
-    """
-    path, separator, query = rest.partition("?")
-    options: dict = {}
-    if not separator:
-        return path, options
-    for item in query.split("&"):
-        if not item:
-            continue
-        key, equals, value = item.partition("=")
-        if key == "jobs" and equals:
-            if not value.isdigit() or int(value) < 1:
-                raise ValueError("build: oracle URI option jobs=%r must be a "
-                                 "positive integer" % value)
-            options["jobs"] = int(value)
-        elif key == "executor" and equals and value:
-            options["executor"] = value
-        else:
-            raise ValueError("unsupported build: oracle URI option %r "
-                             "(expected jobs=N and/or executor=SPEC)" % item)
-    return path, options
-
-
 def open_oracle(uri: str, *, graph: Any = None,
                 config: FTCConfig | None = None,
                 max_faults: int | None = None,
                 variant: SchemeVariant | str | None = None,
-                random_seed: int | None = None, timeout: float = 30.0,
-                executor: Any = None, jobs: int | None = None) -> Any:
+                random_seed: int | None = None, timeout: float = 30.0) -> Any:
     """Open an oracle by URI — the CLI's one-flag transport selection.
 
     * ``snapshot:network.ftcs`` (or a bare ``*.ftcs`` path) →
@@ -585,24 +550,10 @@ def open_oracle(uri: str, *, graph: Any = None,
     * ``tcp://127.0.0.1:7421`` → :meth:`Oracle.connect`;
     * ``build:edges.txt`` → read the edge list and :meth:`Oracle.build` with
       the given construction parameters (``build:`` with an empty path uses
-      the ``graph=`` keyword instead).  A query string selects the build
-      executor — ``build:edges.txt?jobs=4`` shards label construction across
-      four processes (``executor=process:2`` etc. also accepted); each URI
-      option replaces the same-named keyword, and the combined result goes
-      through :func:`~repro.build.executors.resolve_executor`, which raises
-      ``ValueError`` on genuine conflicts (e.g. ``?executor=process:2`` with
-      ``jobs=4``).  On ``snapshot:`` / ``tcp://`` URIs the ``executor=`` /
-      ``jobs=`` keywords raise ``ValueError`` — construction options must
-      never silently do nothing.
+      the ``graph=`` keyword instead).  ``build:`` URIs take no query
+      options (see :func:`parse_oracle_uri`).
     """
     kind, rest = parse_oracle_uri(uri)
-    if kind != "build" and (executor is not None or jobs is not None):
-        # The PR-wide rule: a construction option must never silently do
-        # nothing.  Snapshot and tcp transports serve labels that were
-        # already constructed elsewhere.
-        raise ValueError("executor=/jobs= apply only to build: oracle URIs; "
-                         "the %s transport serves already-constructed labels"
-                         % kind)
     if kind == "tcp":
         host, separator, port = rest.rpartition(":")
         if not separator or not port.isdigit():
@@ -614,18 +565,14 @@ def open_oracle(uri: str, *, graph: Any = None,
         if not rest:
             raise ValueError("snapshot: oracle URI needs a path")
         return Oracle.load(rest)
-    path, options = parse_build_query(rest)
-    executor = options.get("executor", executor)
-    jobs = options.get("jobs", jobs)
-    if path:
+    if rest:
         from repro.graphs.graph import read_edge_list
 
-        graph = read_edge_list(path)
+        graph = read_edge_list(rest)
     if graph is None:
         raise ValueError("build: oracle URI needs an edge-list path or graph=")
     return Oracle.build(graph, max_faults=max_faults, config=config,
-                        variant=variant, random_seed=random_seed,
-                        executor=executor, jobs=jobs)
+                        variant=variant, random_seed=random_seed)
 
 
 def upgrade_snapshot(source: Any, destination: Any) -> dict:
@@ -694,7 +641,6 @@ __all__ = [
     "local_oracle_stats",
     "map_server_error",
     "open_oracle",
-    "parse_build_query",
     "parse_oracle_uri",
     "upgrade_snapshot",
 ]

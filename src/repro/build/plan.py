@@ -7,24 +7,20 @@
     Root a spanning tree and build the transformed instance (G', T', sigma,
     ancestry labels, edge identifiers) — Section 5, steps 1 and 4.
 ``hierarchy``
-    Build the sparsification hierarchy (deterministic or randomized), or
-    fix the sketch geometry for the Dory--Parter baselines.
+    Build the sparsification hierarchy (deterministic or randomized); the
+    Dory--Parter sketch baselines have none.
 ``outdetect``
-    Build every per-level outdetect label matrix.  This is the parallel
-    stage: the per-level Reed--Solomon builds are independent by
-    construction, and within a level (and within the single sketch) the
-    edge set is further split into XOR-mergeable shards, so a
-    :class:`~repro.build.executors.BuildExecutor` can fan the shard tasks
-    out to threads or processes.  Results are merged back in deterministic
-    order, so the labels are bit-identical to a serial build.
+    Build every per-level outdetect label matrix: one
+    :class:`~repro.outdetect.rs_threshold.RSThresholdOutdetect` per
+    hierarchy level, or the single
+    :class:`~repro.outdetect.sketch.SketchOutdetect` of the sketch variants.
 ``assembly``
     Ancestry labels and the tree-edge scheme (subtree XOR sums) — the
     sequential wrap-up that consumes the outdetect labels.
 
 :meth:`BuildPlan.run` returns a :class:`BuildResult` carrying the built
 pieces plus a :class:`BuildReport` (per-stage wall time and peak memory,
-shard counts, executor name) — the observability the ROADMAP's "shard label
-construction" item asked for.  Peak memory comes from
+level counts).  Peak memory comes from
 :class:`repro.obs.memory.PeakMemoryMeter`: exact per-stage peaks when the
 caller has ``tracemalloc`` tracing enabled, else the process RSS high-water
 mark (monotone across stages — under the RSS probe a later stage's peak is
@@ -37,14 +33,10 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Hashable, Optional
 
-from repro.build.executors import BuildExecutor, resolve_executor
 from repro.obs.memory import PeakMemoryMeter
-from repro.build.shards import (build_shard, merge_shards, rs_shard_task,
-                                sketch_shard_task)
 from repro.core.config import FTCConfig, SchemeVariant
 from repro.core.transform import TransformedInstance, build_transformed_instance
 from repro.core.tree_scheme import TreeEdgeLabeling
-from repro.gf2.bulk import get_bulk_ops
 from repro.graphs.graph import Graph
 from repro.hierarchy.base import EdgeHierarchy
 from repro.hierarchy.config import HierarchyConfig
@@ -70,10 +62,8 @@ STAGES = ("spanning", "hierarchy", "outdetect", "assembly")
 class BuildReport:
     """What one build did and how long each stage took.
 
-    ``shard_count`` counts the outdetect shard tasks actually dispatched;
-    ``level_count`` the outdetect levels they were merged back into (one for
-    the sketch variants).  ``jobs`` is the executor's worker bound, not the
-    shard count — a serial build of a deep hierarchy still has many shards.
+    ``level_count`` counts the outdetect levels (one for the sketch
+    variants).
 
     ``stage_peak_bytes`` maps each stage to its peak-memory reading (bytes),
     measured by the probe named in ``memory_probe`` (``"tracemalloc"``,
@@ -82,24 +72,19 @@ class BuildReport:
     monotone non-decreasing rather than independent peaks.
     """
 
-    executor: str
-    jobs: int
-    shard_count: int
     level_count: int
     stage_seconds: dict = dataclass_field(default_factory=dict)
     total_seconds: float = 0.0
     stage_peak_bytes: dict = dataclass_field(default_factory=dict)
     memory_probe: str = "unavailable"
     #: Levels whose label matrix came from a ``level_reuse`` hook instead of
-    #: shard construction (the incremental path of :mod:`repro.delta`).
+    #: being built from their edges (the incremental path of
+    #: :mod:`repro.delta`).
     reused_level_count: int = 0
 
     def to_dict(self) -> dict:
         """A JSON-ready view (what the CLI prints under ``build_report``)."""
         return {
-            "executor": self.executor,
-            "jobs": self.jobs,
-            "shard_count": self.shard_count,
             "level_count": self.level_count,
             "stage_seconds": dict(self.stage_seconds),
             "total_seconds": self.total_seconds,
@@ -124,9 +109,9 @@ class BuildPlan:
     """Staged construction of one labeling for one ``(graph, config)``.
 
     The plan validates its inputs eagerly (same errors the old constructor
-    raised), then :meth:`run` executes the stages under any
-    :class:`~repro.build.executors.BuildExecutor`.  Plans are single-use
-    descriptions — build twice by creating two plans.
+    raised), then :meth:`run` executes the stages in order on the calling
+    thread.  Plans are single-use descriptions — build twice by creating two
+    plans.
     """
 
     def __init__(self, graph: Graph, config: FTCConfig, root: Vertex | None = None):
@@ -144,23 +129,20 @@ class BuildPlan:
 
     # ------------------------------------------------------------------ stages
 
-    def run(self, executor: BuildExecutor | str | None = None,
-            jobs: int | None = None,
-            level_reuse: LevelReuseHook | None = None) -> BuildResult:
+    def run(self, level_reuse: LevelReuseHook | None = None) -> BuildResult:
         """Execute all four stages and return the result + report.
 
         ``level_reuse`` is the incremental-build seam (:mod:`repro.delta`):
         called once per layered-RS level with ``(level_index, threshold,
         edge_ids, vertices, field)``, it may return a complete label matrix
         for that level — which is adopted verbatim, skipping the level's
-        shard construction — or ``None`` to build the level from scratch.
-        Sketch variants ignore the hook (their single level is global).  The
-        hook must preserve the XOR-merge semantics: an adopted matrix must
-        equal what the shard pipeline would have produced, which callers
-        guarantee by patching a base matrix with the XOR contributions of the
-        changed edges only.
+        construction — or ``None`` to build the level from scratch.  Sketch
+        variants ignore the hook (their single level is global).  An adopted
+        matrix must equal what building the level from its edges would
+        produce, which callers guarantee by patching a base matrix with the
+        XOR contributions of the changed edges only (Proposition 2: a vertex
+        label is the XOR of its incident edges' parity-check rows).
         """
-        executor = resolve_executor(executor, jobs)
         stage_seconds: dict[str, float] = {}
         stage_peak: dict[str, int] = {}
         meter = PeakMemoryMeter()
@@ -181,8 +163,8 @@ class BuildPlan:
 
         stage_start = time.perf_counter()
         meter.start_phase()
-        outdetect, shard_count, level_count, reused_levels = \
-            self._build_outdetect(instance, hierarchy, executor, level_reuse)
+        outdetect, level_count, reused_levels = \
+            self._build_outdetect(instance, hierarchy, level_reuse)
         _record_peak(stage_peak, "outdetect", meter)
         stage_seconds["outdetect"] = time.perf_counter() - stage_start
 
@@ -193,9 +175,6 @@ class BuildPlan:
         stage_seconds["assembly"] = time.perf_counter() - stage_start
 
         report = BuildReport(
-            executor=executor.name,
-            jobs=executor.jobs,
-            shard_count=shard_count,
             level_count=level_count,
             stage_seconds=stage_seconds,
             total_seconds=time.perf_counter() - start,
@@ -223,26 +202,23 @@ class BuildPlan:
         return build_deterministic_hierarchy(
             instance.non_tree_edges, instance.tour, hierarchy_config)
 
-    # --------------------------------------------------------------- sharding
-
     def _build_outdetect(self, instance: TransformedInstance,
                          hierarchy: EdgeHierarchy | None,
-                         executor: BuildExecutor,
                          level_reuse: LevelReuseHook | None = None) -> tuple:
-        """Stage 3: shard every level's edges, fan out, merge, assemble.
+        """Stage 3: build every outdetect level.
 
-        Returns ``(scheme, shard_count, level_count, reused_level_count)``.
-        Shards are created per level with at most ``executor.jobs`` slices
-        each, tasks are dispatched in one ``executor.map`` across *all*
-        levels (so a deep hierarchy with skewed level sizes still
-        load-balances), and each level's partial matrices are XOR-merged back
-        in place.  A level whose matrix the ``level_reuse`` hook supplies
-        dispatches no shard tasks at all.
+        Returns ``(scheme, level_count, reused_level_count)``.  A level whose
+        matrix the ``level_reuse`` hook supplies is adopted as is; every
+        other level is built directly from its edges.
         """
+        config = self.config
         vertices = list(instance.auxiliary.tree_prime.vertices())
-        vertex_index = {vertex: position for position, vertex in enumerate(vertices)}
         if hierarchy is None:
-            return self._build_sketch(instance, vertices, vertex_index, executor)
+            scheme = SketchOutdetect(
+                vertices, instance.edge_ids,
+                repetitions=config.effective_sketch_repetitions(),
+                seed=config.random_seed)
+            return scheme, 1, 0
         field = instance.codec.field
         levels: list[tuple[int, dict]]
         if not hierarchy.levels:
@@ -254,64 +230,21 @@ class BuildPlan:
                        {edge: instance.edge_ids[edge] for edge in level_edges})
                       for level_edges, threshold in zip(hierarchy.levels,
                                                         hierarchy.thresholds)]
-        reused: dict[int, list] = {}
-        if level_reuse is not None:
-            for level_index, (threshold, edge_ids) in enumerate(levels):
-                matrix = level_reuse(level_index, threshold, edge_ids,
-                                     vertices, field)
-                if matrix is not None:
-                    reused[level_index] = matrix
-        tasks: list[dict] = []
-        slices: list[list[int]] = []  # task indices per level, in level order
-        for level_index, (threshold, edge_ids) in enumerate(levels):
-            level_tasks: list[int] = []
-            if level_index not in reused:
-                for chunk in _chunks(_position_edges(edge_ids, vertex_index),
-                                     executor.jobs):
-                    level_tasks.append(len(tasks))
-                    tasks.append(rs_shard_task(field.width, field.modulus,
-                                               threshold, chunk))
-            slices.append(level_tasks)
-        results = executor.map(build_shard, tasks)
-        merge_bulk = get_bulk_ops(None, max_bits=field.width)
         level_schemes: list[RSThresholdOutdetect] = []
-        for level_index, ((threshold, edge_ids), task_indices) in \
-                enumerate(zip(levels, slices)):
-            if level_index in reused:
-                merged = reused[level_index]
+        reused = 0
+        for level_index, (threshold, edge_ids) in enumerate(levels):
+            matrix = None if level_reuse is None else level_reuse(
+                level_index, threshold, edge_ids, vertices, field)
+            if matrix is None:
+                level_schemes.append(RSThresholdOutdetect(
+                    field, threshold, vertices, edge_ids,
+                    adaptive=config.adaptive_decoding))
             else:
-                merged = merge_shards(len(vertices), 2 * threshold,
-                                      [results[index] for index in task_indices],
-                                      bulk=merge_bulk)
-            level_schemes.append(RSThresholdOutdetect.from_label_matrix(
-                field, threshold, vertices, edge_ids, merged,
-                adaptive=self.config.adaptive_decoding))
-        return (LayeredOutdetect(level_schemes), len(tasks), len(levels),
-                len(reused))
-
-    def _build_sketch(self, instance: TransformedInstance, vertices: list,
-                      vertex_index: dict, executor: BuildExecutor) -> tuple:
-        """Sketch variants: one level, edge set split into XOR-merged shards."""
-        config = self.config
-        edge_ids = instance.edge_ids
-        repetitions = config.effective_sketch_repetitions()
-        geometry = SketchOutdetect.plan_geometry(edge_ids, repetitions=repetitions)
-        tasks = [sketch_shard_task(geometry["num_levels"], geometry["repetitions"],
-                                   config.random_seed, geometry["id_bits"], chunk)
-                 for chunk in _chunks(_position_edges(edge_ids, vertex_index),
-                                      executor.jobs)]
-        merge_bulk = get_bulk_ops(None, max_bits=geometry["value_bits"])
-        merged = merge_shards(len(vertices),
-                              geometry["num_levels"] * geometry["repetitions"],
-                              executor.map(build_shard, tasks),
-                              bulk=merge_bulk)
-        scheme = SketchOutdetect.from_label_matrix(
-            vertices, edge_ids, merged,
-            num_levels=geometry["num_levels"],
-            repetitions=geometry["repetitions"],
-            seed=config.random_seed,
-            id_bits=geometry["id_bits"])
-        return scheme, len(tasks), 1, 0
+                reused += 1
+                level_schemes.append(RSThresholdOutdetect.from_label_matrix(
+                    field, threshold, vertices, edge_ids, matrix,
+                    adaptive=config.adaptive_decoding))
+        return LayeredOutdetect(level_schemes), len(levels), reused
 
 
 def _record_peak(stage_peak: dict, stage: str, meter: PeakMemoryMeter) -> None:
@@ -319,36 +252,6 @@ def _record_peak(stage_peak: dict, stage: str, meter: PeakMemoryMeter) -> None:
     peak = meter.end_phase()
     if peak is not None:
         stage_peak[stage] = peak
-
-
-def _position_edges(edge_ids: dict, vertex_index: dict) -> list:
-    """Resolve a level's edges to ``(u_position, v_position, identifier)``.
-
-    Done once in the parent so shard tasks carry only small integers — no
-    vertex objects or vertex lists cross a process boundary — and so an edge
-    endpoint outside the scheme's vertex set raises ``KeyError`` here, before
-    any fan-out.
-    """
-    return [(vertex_index[u], vertex_index[v], identifier)
-            for (u, v), identifier in edge_ids.items()]
-
-
-def _chunks(items: list, parts: int) -> list:
-    """Split ``items`` into at most ``parts`` contiguous, near-equal slices.
-
-    Always yields at least one (possibly empty) slice so every level produces
-    a matrix; never yields an empty slice when a non-empty one exists.
-    """
-    count = len(items)
-    parts = max(1, min(parts, count) if count else 1)
-    base, extra = divmod(count, parts)
-    out: list = []
-    position = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        out.append(items[position:position + size])
-        position += size
-    return out
 
 
 __all__ = ["STAGES", "BuildPlan", "BuildReport", "BuildResult",

@@ -6,10 +6,10 @@ rehydrates a snapshot, or opens a socket directly.  Transport selection is
 one flag: ``--oracle`` takes a URI (``build:EDGELIST``, ``snapshot:PATH.ftcs``,
 ``tcp://HOST:PORT``) and the legacy ``--edges`` / ``--snapshot`` flags are
 sugar for the first two.
-Construction likewise goes through the one build facade of
-:mod:`repro.build`: ``--jobs N`` (or a ``build:...?jobs=N`` URI) shards
-label construction across N processes, byte-identical to a serial build;
-on ``serve`` the flag instead bounds the session-building worker threads.
+Construction likewise goes through the one build path of :mod:`repro.build`.
+``--jobs N`` exists in two places only: on ``batch-query --faults-file`` it
+builds the fault sets' sessions across N processes, and on ``serve`` it
+bounds the session-building worker threads.
 
 Twelve subcommands cover the typical workflow:
 
@@ -121,7 +121,7 @@ import sys
 from pathlib import Path
 
 from repro.api import (Oracle, RemoteOracleError, TransportError, open_oracle,
-                       parse_build_query, parse_oracle_uri)
+                       parse_oracle_uri)
 from repro.core.config import SchemeVariant
 from repro.core.query import QueryFailure
 from repro.core.serialize import LabelDecodeError
@@ -188,35 +188,11 @@ def read_faults_file(path: str | Path) -> list:
     return fault_sets
 
 
-def _cli_executor(args: argparse.Namespace):
-    """Resolve ``--jobs`` / URI executor options, or ``None`` after a CLI error.
-
-    Flag mistakes (``--jobs 0``, ``?executor=bogus``, conflicting values) must
-    print one ``error:`` line and exit 2 like every other CLI misuse — never
-    escape as a traceback.
-    """
-    from repro.core.config import resolve_build_executor
-
-    try:
-        return resolve_build_executor(getattr(args, "build_executor", None),
-                                      getattr(args, "jobs", None))
-    except ValueError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return None
-
-
 def _build_oracle(args: argparse.Namespace):
-    """The "build" transport from the common construction flags.
-
-    Returns ``(graph, oracle)``, or ``None`` after printing a CLI error.
-    """
-    executor = _cli_executor(args)
-    if executor is None:
-        return None
+    """``(graph, oracle)``: the "build" transport from the construction flags."""
     graph = load_edge_list(args.edges)
     oracle = Oracle.build(graph, max_faults=args.max_faults,
-                          variant=args.variant, random_seed=args.seed,
-                          executor=executor)
+                          variant=args.variant, random_seed=args.seed)
     return graph, oracle
 
 
@@ -253,81 +229,23 @@ def _fold_oracle_uri(args: argparse.Namespace) -> str | None:
             return "error"
         args.snapshot = rest
     elif kind == "build":
-        try:
-            path, options = parse_build_query(rest)
-        except ValueError as error:
-            print("error: %s" % error, file=sys.stderr)
-            return "error"
-        if not _merge_uri_build_options(args, options):
-            return "error"
-        if path:
-            if args.edges and args.edges != path:
+        if rest:
+            if args.edges and args.edges != rest:
                 print("error: --oracle %s conflicts with --edges %s"
                       % (args.oracle, args.edges), file=sys.stderr)
                 return "error"
-            args.edges = path
+            args.edges = rest
         elif not args.edges:
             print("error: build: oracle URI needs an edge-list path", file=sys.stderr)
             return "error"
     return kind
 
 
-def _merge_uri_build_options(args: argparse.Namespace, options: dict) -> bool:
-    """Fold a ``build:`` URI's query options into the flags.
-
-    One copy of the conflict rule for every subcommand: ``?jobs=N`` that
-    disagrees with an explicit ``--jobs`` is a CLI error (printed here),
-    agreement or absence folds the value in.
-    """
-    if "jobs" in options:
-        if args.jobs is not None and args.jobs != options["jobs"]:
-            print("error: --oracle %s conflicts with --jobs %d"
-                  % (args.oracle, args.jobs), file=sys.stderr)
-            return False
-        args.jobs = options["jobs"]
-    if "executor" in options:
-        args.build_executor = options["executor"]
-    return True
-
-
-def _note_jobs_not_applicable(args: argparse.Namespace, why: str) -> None:
-    """Tell the user an explicit ``--jobs`` is doing nothing on this path.
-
-    Labels served from a snapshot or a server were already constructed, so a
-    construction flag must not silently pretend to parallelize anything.
-    """
-    if getattr(args, "jobs", None) is not None:
-        print("note: --jobs %d does not apply (%s)" % (args.jobs, why),
-              file=sys.stderr)
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.oracle:
         try:
-            kind, rest = parse_oracle_uri(args.oracle)
-        except ValueError as error:
-            print("error: %s" % error, file=sys.stderr)
-            return 2
-        executor = None
-        if kind == "build":
-            try:
-                _, options = parse_build_query(rest)
-            except ValueError as error:
-                print("error: %s" % error, file=sys.stderr)
-                return 2
-            if not _merge_uri_build_options(args, options):
-                return 2
-            executor = _cli_executor(args)
-            if executor is None:
-                return 2
-        else:
-            _note_jobs_not_applicable(args, "the %s transport serves "
-                                            "already-constructed labels" % kind)
-        try:
             oracle = open_oracle(args.oracle, max_faults=args.max_faults,
-                                 variant=args.variant, random_seed=args.seed,
-                                 executor=executor,
-                                 jobs=args.jobs if kind == "build" else None)
+                                 variant=args.variant, random_seed=args.seed)
         except (TransportError, FileNotFoundError, LabelDecodeError,
                 ValueError) as error:
             print("error: %s" % error, file=sys.stderr)
@@ -346,10 +264,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not args.edges:
         print("error: stats needs --edges or --oracle", file=sys.stderr)
         return 2
-    built = _build_oracle(args)
-    if built is None:
-        return 2
-    _, oracle = built
+    _, oracle = _build_oracle(args)
     if args.prometheus:
         print(oracle.stats().to_prometheus(), end="")
         return 0
@@ -358,10 +273,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    built = _build_oracle(args)
-    if built is None:
-        return 2
-    graph, oracle = built
+    graph, oracle = _build_oracle(args)
     faults = [parse_fault(raw) for raw in args.fault]
     for u, v in faults:
         if not oracle.has_edge(u, v):
@@ -424,7 +336,6 @@ def _cmd_batch_query_remote(args: argparse.Namespace) -> int:
     """The ``tcp://`` transport of ``batch-query``: queries go to the
     server, and membership problems come back as structured errors rather
     than local pre-checks."""
-    _note_jobs_not_applicable(args, "the server already holds its labels")
     if args.faults_file:
         print("error: --faults-file needs a local transport (the server builds "
               "and caches its own sessions); send one fault set per request",
@@ -483,7 +394,7 @@ def _answer_fault_sets(args: argparse.Namespace, answerer, source: str,
                        graph, fault_sets: list, pairs: list) -> int:
     """The ``--faults-file`` path of ``batch-query``: sessions for every
     distinct fault set are constructed up front — fanned out across
-    ``--jobs`` workers — then the shared pair list is answered under each
+    ``--jobs`` processes — then the shared pair list is answered under each
     set (a pure cache hit by then)."""
     try:
         answerer.build_sessions(fault_sets, jobs=args.jobs)
@@ -522,6 +433,13 @@ def _answer_fault_sets(args: argparse.Namespace, answerer, source: str,
 
 
 def cmd_batch_query(args: argparse.Namespace) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
+    if args.jobs is not None and not args.faults_file:
+        # A flag must not silently pretend to parallelize anything.
+        print("note: --jobs %d does not apply (it builds --faults-file "
+              "sessions)" % args.jobs, file=sys.stderr)
     kind = _fold_oracle_uri(args)
     if kind == "error":
         return 2
@@ -534,10 +452,6 @@ def cmd_batch_query(args: argparse.Namespace) -> int:
         return 2
     if args.snapshot:
         # Serve from a saved labeling: no graph access, no reconstruction.
-        # With --faults-file, --jobs applies to *session* construction below.
-        if not args.faults_file:
-            _note_jobs_not_applicable(args, "the snapshot serves "
-                                            "already-constructed labels")
         answerer = _open_snapshot_or_report(args.snapshot)
         if answerer is None:
             return 2
@@ -547,12 +461,8 @@ def cmd_batch_query(args: argparse.Namespace) -> int:
             print("error: batch-query needs --edges, --snapshot, or --oracle",
                   file=sys.stderr)
             return 2
-        executor = _cli_executor(args)
-        if executor is None:
-            return 2
         answerer = Oracle.build(graph, max_faults=args.max_faults,
-                                variant=args.variant, random_seed=args.seed,
-                                executor=executor)
+                                variant=args.variant, random_seed=args.seed)
         source = "constructed"
     if args.check and graph is None:
         print("error: --check compares against BFS ground truth and needs --edges",
@@ -630,10 +540,7 @@ def cmd_batch_query(args: argparse.Namespace) -> int:
 
 
 def cmd_export_labels(args: argparse.Namespace) -> int:
-    built = _build_oracle(args)
-    if built is None:
-        return 2
-    graph, oracle = built
+    graph, oracle = _build_oracle(args)
     payload = {
         "format": "ftc-labels",
         "max_faults": args.max_faults,
@@ -664,8 +571,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     # only replaces where the *answers* come from (no reconstruction).
     graph = load_edge_list(args.edges)
     if args.snapshot:
-        _note_jobs_not_applicable(args, "the snapshot serves "
-                                        "already-constructed labels")
         answerer = _open_snapshot_or_report(args.snapshot)
         if answerer is None:
             return 2
@@ -689,12 +594,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
                   "(--max-faults %d does not apply in snapshot mode)"
                   % (max_faults, args.max_faults), file=sys.stderr)
     else:
-        executor = _cli_executor(args)
-        if executor is None:
-            return 2
         answerer = Oracle.build(graph, max_faults=args.max_faults,
-                                variant=args.variant, random_seed=args.seed,
-                                executor=executor)
+                                variant=args.variant, random_seed=args.seed)
         max_faults = args.max_faults
     workload = make_query_workload(graph, num_queries=args.queries,
                                    max_faults=max_faults, seed=args.seed)
@@ -710,10 +611,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_save_labeling(args: argparse.Namespace) -> int:
-    built = _build_oracle(args)
-    if built is None:
-        return 2
-    graph, oracle = built
+    graph, oracle = _build_oracle(args)
     byte_count = oracle.save(args.output)
     print(json.dumps({
         "written": args.output,
@@ -944,11 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=[variant.value for variant in SchemeVariant],
                          help="which Table-1 scheme to build")
         sub.add_argument("--seed", type=int, default=0, help="seed for randomized variants")
-        sub.add_argument("--jobs", type=int, default=None,
-                         help="shard label construction across N workers "
-                              "(N > 1 uses the multiprocessing executor of "
-                              "repro.build; results are byte-identical to a "
-                              "serial build)")
 
     def add_json_flag(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--json", action="store_true",
@@ -993,8 +886,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="file with one fault set per line (whitespace-"
                                    "separated u-v edges; '#' comments); the pair "
                                    "list is answered under each fault set, with "
-                                   "sessions built up front — --jobs N constructs "
-                                   "them across N workers")
+                                   "sessions built up front")
+    batch_parser.add_argument("--jobs", type=int, default=None,
+                              help="with --faults-file, build the sessions "
+                                   "across N processes")
     batch_parser.add_argument("--pair", action="append", default=[],
                               help="query pair as s-t (repeatable)")
     batch_parser.add_argument("--pairs-file", default=None,

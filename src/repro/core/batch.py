@@ -227,10 +227,9 @@ class BatchQuerySession:
 def decompose_fault_set(task: dict) -> dict:
     """Compute one fault set's component decomposition from plain data.
 
-    The executor-backed construction path of
+    The ``jobs > 1`` path of
     :meth:`repro.core.ftc.LabelBackedQueries.build_sessions` submits this
-    module-level function to a :class:`~repro.build.executors.ProcessExecutor`
-    (it must be picklable, like :func:`repro.build.shards.build_shard`).  The
+    module-level function to a process pool (so it must be picklable).  The
     task dict carries only plain data — the outdetect descriptor and field
     parameters of the snapshot machinery plus the (picklable) fault edge
     labels — so no vertex labels and no live scheme objects cross the process

@@ -131,21 +131,3 @@ def resolve_ftc_config(max_faults: int | None = None,
     if random_seed is not None:
         fields["random_seed"] = random_seed
     return FTCConfig(**fields)
-
-
-def resolve_build_executor(executor=None, jobs: int | None = None):
-    """Normalize every entry point's ``executor=`` / ``jobs=`` onto one
-    :class:`~repro.build.executors.BuildExecutor` — the construction-side
-    sibling of :func:`resolve_ftc_config`.
-
-    Accepts an executor instance, a spec string (``"serial"`` /
-    ``"process[:N]"``), or a bare ``jobs=N`` ("just parallelize": processes
-    for ``N > 1``); with neither, the
-    ``REPRO_BUILD_EXECUTOR`` environment variable decides and its absence
-    means serial.  See :func:`repro.build.executors.resolve_executor` for the
-    full precedence rules (imported lazily — configuration stays importable
-    before the build package).
-    """
-    from repro.build.executors import resolve_executor
-
-    return resolve_executor(executor, jobs)

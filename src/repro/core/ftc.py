@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 from repro.core.batch import BatchQuerySession
 from repro.core.config import FTCConfig
@@ -33,6 +33,9 @@ from repro.core.query import BasicQueryEngine, QueryFailure, canonical_fault_key
 from repro.core.transform import TransformedInstance
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.outdetect.base import OutdetectScheme
+
+if TYPE_CHECKING:
+    from multiprocessing.context import BaseContext
 
 Vertex = Hashable
 
@@ -180,19 +183,16 @@ class LabelBackedQueries:
         return session
 
     def build_sessions(self, fault_sets: Sequence[Iterable[Edge]],
-                       executor=None, jobs: int | None = None
-                       ) -> list[BatchQuerySession]:
+                       jobs: int | None = None) -> list[BatchQuerySession]:
         """Build (or fetch) the batch sessions of many distinct fault sets.
 
-        The construction-side executor seam (:mod:`repro.build.executors`)
-        reused on the query side: ``executor`` / ``jobs`` resolve through
-        :func:`~repro.build.executors.resolve_executor` exactly as on
-        ``FTCLabeling`` construction, and the expensive part of every *novel*
-        fault set — the component decomposition — fans out across the
-        resolved strategy.  Process workers receive only plain data (the
-        snapshot outdetect descriptor plus the fault edge labels, which are
-        picklable) and return the decomposition map, so no vertex labels ever
-        cross a process boundary.  Results land in the session LRU and are
+        With ``jobs > 1`` the expensive part of every *novel* fault set — the
+        component decomposition — runs on a process pool of ``jobs`` workers
+        created for this call; otherwise sessions are built in-process.
+        Process workers receive only plain data (the snapshot outdetect
+        descriptor plus the fault edge labels, which are picklable) and
+        return the decomposition map, so no vertex labels ever cross a
+        process boundary.  Results land in the session LRU and are
         bit-identical to serially built sessions.
 
         Returns one session per input fault set, in input order; duplicate
@@ -201,9 +201,8 @@ class LabelBackedQueries:
         (:class:`KeyError`, :class:`ValueError`,
         :class:`~repro.core.query.QueryFailure`).
         """
-        from repro.build.executors import resolve_executor
-
-        resolved = resolve_executor(executor, jobs)
+        if jobs is not None and jobs < 1:
+            raise ValueError("jobs must be at least 1, got %d" % jobs)
         keyed = [self._fault_labels_keyed(faults) for faults in fault_sets]
         sessions: dict[tuple, BatchQuerySession] = {}
         missing: list[tuple] = []
@@ -219,7 +218,7 @@ class LabelBackedQueries:
                 missing_labels[key] = fault_labels
         if missing:
             built = self._build_sessions_missing(
-                resolved, [missing_labels[key] for key in missing])
+                jobs or 1, [missing_labels[key] for key in missing])
             for key, session in zip(missing, built):
                 with self._session_lock:
                     existing = self._session_cache.get(key)
@@ -234,21 +233,36 @@ class LabelBackedQueries:
                 sessions[key] = session
         return [sessions[key] for _, key in keyed]
 
-    def _build_sessions_missing(self, executor, label_lists: list
+    def _build_sessions_missing(self, jobs: int, label_lists: list
                                 ) -> list[BatchQuerySession]:
-        """Construct the not-yet-cached sessions on the resolved executor."""
+        """Construct the not-yet-cached sessions, on ``jobs`` processes."""
         tasks = None
-        if executor.name == "process":
+        if jobs > 1 and len(label_lists) > 1:
             tasks = self._session_worker_tasks(label_lists)
         if tasks is None:
-            # The serial strategy (and schemes without a snapshot
-            # descriptor) construct in-process.
-            return executor.map(
-                lambda labels: BatchQuerySession(self.outdetect, self.codec, labels),
-                label_lists)
+            # One worker, one set, or a scheme without a snapshot descriptor:
+            # construct in-process.
+            return [BatchQuerySession(self.outdetect, self.codec, labels)
+                    for labels in label_lists]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         from repro.core.batch import decompose_fault_set
 
-        decompositions = executor.map(decompose_fault_set, tasks)
+        # The caller may already run threads (the query server's session
+        # workers, test harnesses), and plain fork from a threaded parent can
+        # deadlock a worker on an inherited lock.  forkserver forks every
+        # worker from one clean, single-threaded server process instead (the
+        # parent's sys.path travels in the spawn preparation data, so
+        # src-layout imports keep working); platforms without it (Windows)
+        # use their spawn default.
+        context: BaseContext | None
+        try:
+            context = multiprocessing.get_context("forkserver")
+        except ValueError:  # pragma: no cover - no forkserver
+            context = None
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            decompositions = list(pool.map(decompose_fault_set, tasks))
         return [BatchQuerySession.from_decomposition(self.outdetect, self.codec,
                                                      labels, component_of)
                 for labels, component_of in zip(label_lists, decompositions)]
@@ -351,18 +365,14 @@ class FTCLabeling(LabelBackedQueries):
     Construction is delegated entirely to the staged
     :class:`~repro.build.plan.BuildPlan` — this class is a thin shim that
     runs the plan and exposes the result through the query surface, so no
-    caller constructs labelings ad hoc anymore.  ``executor`` / ``jobs``
-    select the execution strategy (serial by default; see
-    :mod:`repro.build.executors`), and the resulting
+    caller constructs labelings ad hoc anymore.  The resulting
     :class:`~repro.build.plan.BuildReport` is kept as ``build_report``.
-    Every executor produces a byte-identical labeling.
     """
 
-    def __init__(self, graph: Graph, config: FTCConfig, root: Vertex | None = None,
-                 executor=None, jobs: int | None = None):
+    def __init__(self, graph: Graph, config: FTCConfig, root: Vertex | None = None):
         from repro.build.plan import BuildPlan
 
-        result = BuildPlan(graph, config, root=root).run(executor, jobs)
+        result = BuildPlan(graph, config, root=root).run()
         self._adopt_build_result(graph, config, result)
 
     @classmethod

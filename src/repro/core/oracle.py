@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from repro.core.batch import BatchQuerySession
-from repro.core.config import (FTCConfig, SchemeVariant, resolve_build_executor,
-                               resolve_ftc_config)
+from repro.core.config import FTCConfig, SchemeVariant, resolve_ftc_config
 from repro.core.ftc import FTCLabeling
 from repro.core.labels import EdgeLabel, VertexLabel
 from repro.core.query import QueryFailure
@@ -45,13 +44,11 @@ class FTConnectivityOracle:
 
     def __init__(self, graph: Graph, max_faults: int | None = None,
                  variant: SchemeVariant | str | None = None,
-                 config: FTCConfig | None = None, use_fast_engine: bool = True,
-                 executor=None, jobs: int | None = None):
+                 config: FTCConfig | None = None, use_fast_engine: bool = True):
         self.config = resolve_ftc_config(max_faults=max_faults, config=config,
                                          variant=variant)
         self.graph = graph
-        self.labeling = FTCLabeling(graph, self.config,
-                                    executor=resolve_build_executor(executor, jobs))
+        self.labeling = FTCLabeling(graph, self.config)
         self.use_fast_engine = use_fast_engine
         self._queries_answered = 0
 
@@ -109,11 +106,10 @@ class FTConnectivityOracle:
         return self.labeling.batch_session(faults)
 
     def build_sessions(self, fault_sets: Sequence[Iterable[Edge]],
-                       executor=None, jobs: int | None = None) -> list:
+                       jobs: int | None = None) -> list:
         """Construct sessions for many distinct fault sets, possibly in
         parallel (see :meth:`~repro.core.ftc.LabelBackedQueries.build_sessions`)."""
-        return self.labeling.build_sessions(fault_sets, executor=executor,
-                                            jobs=jobs)
+        return self.labeling.build_sessions(fault_sets, jobs=jobs)
 
     def connected_exact(self, s: Vertex, t: Vertex, faults: Iterable[Edge] = ()) -> bool:
         """Ground-truth answer by BFS on G - F (for auditing and tests)."""

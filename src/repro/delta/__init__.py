@@ -8,7 +8,8 @@ only a small fraction of the label bytes.  This package exploits that twice:
   :func:`diff_snapshots` produces it, :func:`apply_delta` reconstructs the
   target byte-for-byte (verified by digest, or :class:`~repro.errors.DeltaError`).
 * :mod:`repro.delta.incremental` rebuilds a labeling after an edge-list diff
-  by reusing every untouched per-level shard of the base labeling — the
+  by patching every per-level label matrix of the base labeling that the
+  edit leaves structurally intact — the
   output is byte-identical to a from-scratch build.
 
 Callers outside the library go through the :mod:`repro.api` facades

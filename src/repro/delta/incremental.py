@@ -11,8 +11,8 @@ identifiers come from the ancestry labeling of the rooted spanning tree
 (:mod:`repro.core.transform`), so an edit that changes the tree (or the
 identifier codec's width) re-identifies *every* edge and the "patch" would be
 larger than the rebuild.  :func:`incremental_labeling` therefore decides per
-level: patch when the changed-edge set is small, fall back to the plan's
-normal shard construction when it is not — either way the resulting labeling
+level: patch when the changed-edge set is small, let the plan build the level
+from its edges when it is not — either way the resulting labeling
 (and its snapshot) is byte-identical to a from-scratch build, only the work
 differs.  ``build_report.reused_level_count`` says which path each level took.
 
@@ -73,15 +73,14 @@ def apply_edge_diff(base_graph: Graph, add_edges: Iterable = (),
 
 
 def incremental_labeling(base: FTCLabeling, graph: Graph | None = None, *,
-                         add_edges: Iterable = (), remove_edges: Iterable = (),
-                         executor: Any = None,
-                         jobs: int | None = None) -> FTCLabeling:
+                         add_edges: Iterable = (),
+                         remove_edges: Iterable = ()) -> FTCLabeling:
     """Build the labeling of an edited graph, reusing the base where possible.
 
     ``graph`` is the full target graph; alternatively pass the edit itself
     (``add_edges`` / ``remove_edges`` against ``base.graph``).  The returned
     labeling — and therefore its ``FTCS`` snapshot — is byte-identical to
-    ``FTCLabeling(graph, base.config)`` built from scratch; per-level shard
+    ``FTCLabeling(graph, base.config)`` built from scratch; per-level
     construction is skipped wherever the base level's matrix can be patched
     (``build_report.reused_level_count`` reports how often that happened).
     """
@@ -91,8 +90,7 @@ def incremental_labeling(base: FTCLabeling, graph: Graph | None = None, *,
         raise ValueError("pass either a target graph or an edge diff, not both")
     config: FTCConfig = base.config
     plan = BuildPlan(graph, config)
-    result: BuildResult = plan.run(executor, jobs,
-                                   level_reuse=_level_reuse_hook(base))
+    result: BuildResult = plan.run(level_reuse=_level_reuse_hook(base))
     return FTCLabeling.from_build_result(graph, config, result)
 
 

@@ -90,10 +90,10 @@ class RSThresholdOutdetect(OutdetectScheme):
                           bulk: BulkOps | None = None) -> "RSThresholdOutdetect":
         """Assemble a scheme from an externally built label matrix.
 
-        The merge step of the sharded build plan (:mod:`repro.build.plan`)
-        XORs per-shard partial matrices back together and hands the result
-        here; nothing is recomputed, so the scheme is bit-identical to one
-        whose constructor built the same matrix in a single shot.
+        The build plan (:mod:`repro.build.plan`) adopts a level matrix that
+        the incremental path of :mod:`repro.delta` patched from a base
+        labeling; nothing is recomputed, so the scheme is bit-identical to
+        one whose constructor built the same matrix.
         """
         scheme = cls.decode_only(field, threshold, adaptive=adaptive, bulk=bulk)
         scheme.edge_ids = dict(edge_ids)
@@ -114,7 +114,7 @@ class RSThresholdOutdetect(OutdetectScheme):
         identifiers, and the rows are scattered into the per-vertex matrix in
         one XOR pass.  Because labels are XOR sums over incident edges, the
         matrices of any partition of the edge set XOR back into the
-        full-build matrix — the shard-friendly shape of the build plan.
+        full-build matrix — which is how :mod:`repro.delta` patches a level.
         """
         vertex_index = {vertex: position for position, vertex in enumerate(vertices)}
         edge_items = list(edge_items)

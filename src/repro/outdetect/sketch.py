@@ -57,38 +57,17 @@ class SketchOutdetect(OutdetectScheme):
                  num_levels: int | None = None, repetitions: int = 8, seed: int = 0,
                  bulk: BulkOps | None = None):
         self.edge_ids = dict(edge_ids)
-        geometry = self.plan_geometry(self.edge_ids, num_levels=num_levels,
-                                      repetitions=repetitions)
-        self.num_levels = geometry["num_levels"]
-        self.repetitions = geometry["repetitions"]
+        if num_levels is None:
+            num_levels = max(len(self.edge_ids), 2).bit_length() + 1
+        self.num_levels = max(num_levels, 1)
+        self.repetitions = max(repetitions, 1)
         self.seed = seed
-        self.id_bits = geometry["id_bits"]
+        self.id_bits = max((max(self.edge_ids.values()).bit_length()
+                            if self.edge_ids else 1), 1)
         self._cells = self.num_levels * self.repetitions
         self.bulk = bulk if bulk is not None else get_bulk_ops(
             None, max_bits=self.id_bits + _FINGERPRINT_BITS)
         self._build_labels(list(vertices))
-
-    @classmethod
-    def plan_geometry(cls, edge_ids: Mapping[Edge, int],
-                      num_levels: int | None = None,
-                      repetitions: int = 8) -> dict:
-        """The sketch dimensions implied by a full edge set.
-
-        Factored out of the constructor so the sharded build plan can fix the
-        geometry from *all* edges up front and hand every shard identical
-        ``(num_levels, repetitions, id_bits)`` — shards hashing into different
-        cell grids would not XOR-merge into the single-shot labels.
-        """
-        if num_levels is None:
-            edge_count = max(len(edge_ids), 2)
-            num_levels = edge_count.bit_length() + 1
-        id_bits = max((max(edge_ids.values()).bit_length() if edge_ids else 1), 1)
-        return {"num_levels": max(num_levels, 1),
-                "repetitions": max(repetitions, 1),
-                "id_bits": id_bits,
-                # Width of one cell value (fingerprint-extended identifier) —
-                # what XOR-only bulk backends must size for.
-                "value_bits": id_bits + _FINGERPRINT_BITS}
 
     @classmethod
     def decode_only(cls, num_levels: int, repetitions: int, seed: int,
@@ -117,42 +96,13 @@ class SketchOutdetect(OutdetectScheme):
         scheme._labels = {}
         return scheme
 
-    @classmethod
-    def from_label_matrix(cls, vertices: Iterable[Vertex],
-                          edge_ids: Mapping[Edge, int], matrix: list, *,
-                          num_levels: int, repetitions: int, seed: int,
-                          id_bits: int,
-                          bulk: BulkOps | None = None) -> "SketchOutdetect":
-        """Assemble a sketch from an externally built label matrix.
-
-        Counterpart of the sharded build plan's merge step: the geometry must
-        be the one :meth:`plan_geometry` derived from the full edge set, and
-        ``matrix`` the XOR of the shards' :meth:`label_matrix` outputs —
-        bit-identical to a single-shot construction by the XOR argument.
-        """
-        scheme = cls.decode_only(num_levels, repetitions, seed, id_bits, bulk=bulk)
-        scheme.edge_ids = dict(edge_ids)
-        vertices = list(vertices)
-        if len(matrix) != len(vertices):
-            raise ValueError("label matrix has %d rows for %d vertices"
-                             % (len(matrix), len(vertices)))
-        scheme._labels = {vertex: list(row) for vertex, row in zip(vertices, matrix)}
-        return scheme
-
-    def label_matrix(self, vertices: list, edge_items: list) -> list:
-        """Partial label matrix of one edge slice, aligned with ``vertices``.
-
-        ``edge_items`` is a sequence of ``((u, v), identifier)`` pairs — any
-        subset of the sketch's edges.  Sampling depends only on the seeded
-        hashes and the fixed geometry, never on the other edges, so the
-        matrices of any partition of the edge set XOR back into the
-        single-shot matrix (the shard-friendly shape of the build plan).
-        """
+    def _build_labels(self, vertices: list) -> None:
+        """Accumulate all sampled cell contributions through the bulk backend."""
         vertex_index = {vertex: position for position, vertex in enumerate(vertices)}
         row_indices: list[int] = []
         col_indices: list[int] = []
         values: list[int] = []
-        for (u, v), identifier in edge_items:
+        for (u, v), identifier in self.edge_ids.items():
             extended = self._extend(identifier)
             row_u = vertex_index[u]
             row_v = vertex_index[v]
@@ -163,12 +113,8 @@ class SketchOutdetect(OutdetectScheme):
                 col_indices.append(cell)
                 values.append(extended)
                 values.append(extended)
-        return self.bulk.scatter_xor(len(vertices), self._cells,
-                                     row_indices, col_indices, values)
-
-    def _build_labels(self, vertices: list) -> None:
-        """Accumulate all sampled cell contributions through the bulk backend."""
-        matrix = self.label_matrix(vertices, list(self.edge_ids.items()))
+        matrix = self.bulk.scatter_xor(len(vertices), self._cells,
+                                       row_indices, col_indices, values)
         self._labels: dict[Vertex, list[int]] = {
             vertex: row for vertex, row in zip(vertices, matrix)}
 

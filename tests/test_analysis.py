@@ -224,58 +224,58 @@ class TestAsyncSafety:
 # ---------------------------------------------------------------- RPL004
 
 class TestLockDiscipline:
+    MODULE = "src/repro/server/session_manager.py"
     GOOD = """
         import threading
         from collections import Counter
 
-        class ServerMetrics:
+        class SessionManager:
             def __init__(self):
-                self._lock = threading.Lock()
-                self._requests = Counter()
+                self._hot_lock = threading.Lock()
+                self._hot_keys = Counter()
 
-            def record_request(self, op, seconds):
-                with self._lock:
-                    self._requests[op] += 1
+            def _record_hot_key(self, key, fault_list):
+                with self._hot_lock:
+                    self._hot_keys[key] += 1
     """
     BAD = """
         import threading
         from collections import Counter
 
-        class ServerMetrics:
+        class SessionManager:
             def __init__(self):
-                self._lock = threading.Lock()
-                self._requests = Counter()
+                self._hot_lock = threading.Lock()
+                self._hot_keys = Counter()
 
-            def record_request(self, op, seconds):
-                self._requests[op] += 1
+            def _record_hot_key(self, key, fault_list):
+                self._hot_keys[key] += 1
 
             def reset(self):
-                self._requests.clear()
+                self._hot_keys.clear()
     """
 
     def test_unlocked_mutations_flagged(self, tmp_path):
-        findings = lint(tmp_path, {"src/repro/server/metrics.py": self.BAD},
-                        "RPL004")
+        findings = lint(tmp_path, {self.MODULE: self.BAD}, "RPL004")
         assert len(findings) == 2
-        assert "record_request" in findings[0].message
+        assert "_record_hot_key" in findings[0].message
         assert ".clear()" in findings[1].message
 
     def test_locked_mutations_and_init_pass(self, tmp_path):
-        assert lint(tmp_path, {"src/repro/server/metrics.py": self.GOOD},
+        assert lint(tmp_path, {self.MODULE: self.GOOD},
                     "RPL004") == []
 
     def test_only_registered_classes_are_checked(self, tmp_path):
-        other = self.BAD.replace("ServerMetrics", "UnregisteredThing")
-        assert lint(tmp_path, {"src/repro/server/metrics.py": other},
+        other = self.BAD.replace("SessionManager", "UnregisteredThing")
+        assert lint(tmp_path, {self.MODULE: other},
                     "RPL004") == []
 
     def test_suppression(self, tmp_path):
         source = self.BAD.replace(
-            "self._requests[op] += 1",
-            "self._requests[op] += 1  %s" % (ALLOW % "RPL004")).replace(
-            "self._requests.clear()",
-            "self._requests.clear()  %s" % (ALLOW % "RPL004"))
-        root = make_repo(tmp_path, {"src/repro/server/metrics.py": source})
+            "self._hot_keys[key] += 1",
+            "self._hot_keys[key] += 1  %s" % (ALLOW % "RPL004")).replace(
+            "self._hot_keys.clear()",
+            "self._hot_keys.clear()  %s" % (ALLOW % "RPL004"))
+        root = make_repo(tmp_path, {self.MODULE: source})
         report = run_analysis(root, rules=[rules_by_code()["RPL004"]])
         assert report.findings == [] and report.suppressed == 2
 
@@ -283,44 +283,43 @@ class TestLockDiscipline:
         import threading
         from collections import Counter
 
-        class ServerMetrics:
+        class SessionManager:
             def __init__(self):
-                self._lock = threading.Lock()
-                self._requests = Counter()
+                self._hot_lock = threading.Lock()
+                self._hot_keys = Counter()
 
-            def record_request(self, op, seconds):
-                match op:
+            def _record_hot_key(self, key, fault_list):
+                match key:
                     case "query":
-                        self._requests[op] += 1
+                        self._hot_keys[key] += 1
                     case _:
-                        self._requests.clear()
+                        self._hot_keys.clear()
     """
 
     def test_mutations_inside_match_cases_flagged(self, tmp_path):
-        findings = lint(tmp_path, {"src/repro/server/metrics.py": self.MATCH_BAD},
-                        "RPL004")
+        findings = lint(tmp_path, {self.MODULE: self.MATCH_BAD}, "RPL004")
         assert len(findings) == 2
 
     MATCH_GOOD = """
         import threading
         from collections import Counter
 
-        class ServerMetrics:
+        class SessionManager:
             def __init__(self):
-                self._lock = threading.Lock()
-                self._requests = Counter()
+                self._hot_lock = threading.Lock()
+                self._hot_keys = Counter()
 
-            def record_request(self, op, seconds):
-                with self._lock:
-                    match op:
+            def _record_hot_key(self, key, fault_list):
+                with self._hot_lock:
+                    match key:
                         case "query":
-                            self._requests[op] += 1
+                            self._hot_keys[key] += 1
                         case _:
-                            self._requests.clear()
+                            self._hot_keys.clear()
     """
 
     def test_match_under_lock_passes(self, tmp_path):
-        assert lint(tmp_path, {"src/repro/server/metrics.py": self.MATCH_GOOD},
+        assert lint(tmp_path, {self.MODULE: self.MATCH_GOOD},
                     "RPL004") == []
 
 

@@ -273,15 +273,16 @@ def _session_workload(seed=11, n=30, num_sets=4, max_faults=3):
     return graph, labeling, fault_sets, pairs
 
 
-@pytest.mark.parametrize("spec", ["serial", "process:2"])
-def test_build_sessions_executors_agree(spec):
-    """Every executor builds the same decompositions a warm cache would hold."""
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process:2"])
+def test_build_sessions_executors_agree(jobs):
+    """In-process and process-pool construction build the same
+    decompositions a warm cache would hold."""
     graph, labeling, fault_sets, pairs = _session_workload()
     reference = [labeling.batch_session(faults) for faults in fault_sets]
     expected = [labeling.connected_many(pairs, faults) for faults in fault_sets]
 
     labeling._session_cache.clear()
-    sessions = labeling.build_sessions(fault_sets, executor=spec)
+    sessions = labeling.build_sessions(fault_sets, jobs=jobs)
     assert len(sessions) == len(fault_sets)
     for faults, session, ref, answers in zip(fault_sets, sessions,
                                              reference, expected):

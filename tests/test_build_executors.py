@@ -1,105 +1,104 @@
-"""Conformance suite for the build executors (:mod:`repro.build`).
+"""The one build path (:mod:`repro.build`).
 
-One build contract, two execution strategies: the same ``(graph, config)``
-scenarios are constructed with the serial and process executors, and the
-resulting labelings must be **byte-identical** — asserted on whole
-``to_snapshot_bytes()`` snapshots, which cover every vertex label, edge
-label, and outdetect parameter.  Also covered: executor resolution (specs,
-``jobs`` semantics, the ``REPRO_BUILD_EXECUTOR`` environment override),
+Label construction runs as one staged serial plan, so nothing else in the
+suite would notice a change to construction that alters label bytes.  The
+golden digests below pin the SHA-256 of ``to_snapshot_bytes()`` — every
+vertex label, edge label and outdetect parameter — for every
+:class:`~repro.core.config.SchemeVariant` on two small fixed graphs; they
+must hold on every GF(2^w) backend, with or without numpy.  Also covered:
 the staged :class:`~repro.build.plan.BuildReport`, the
-:func:`~repro.build.build_labeling` facade, every rewired entry point
-(``Oracle.build(jobs=...)``, ``open_oracle("build:...?jobs=...")``, the CLI
-``--jobs`` flag), and shard partitioning itself.
+:func:`~repro.build.build_labeling` facade, the entry points that refuse
+the removed ``jobs=`` / ``--jobs`` construction options, the one parallel
+path left (process-pool session construction), and the XOR-partition
+property the incremental rebuild of :mod:`repro.delta` patches levels by.
 """
 
+import hashlib
 import json
-import os
 
 import pytest
 
-from repro.api import Oracle, open_oracle, parse_build_query
-from repro.build import (EXECUTOR_ENV_VAR, STAGES, BuildExecutor, BuildPlan,
-                        BuildReport, ProcessExecutor, SerialExecutor,
-                        available_executors, build_labeling, resolve_executor)
-from repro.build.plan import _chunks
-from repro.build.shards import build_shard, merge_shards, rs_shard_task
-from repro.core.config import FTCConfig, SchemeVariant, resolve_build_executor
+from repro.api import Oracle
+from repro.build import STAGES, BuildPlan, BuildReport, build_labeling
+from repro.core.config import FTCConfig, SchemeVariant
 from repro.core.ftc import FTCLabeling
 from repro.workloads import GraphFamily, make_graph
 
-EXECUTORS = ("serial", "process:2")
+#: ``(family, n, max_faults)`` of the two golden graphs (graph seed 7).
+GOLDEN_GRAPHS = {
+    "er": (GraphFamily.ERDOS_RENYI, 120, 3),
+    "grid": (GraphFamily.GRID, 64, 2),
+}
 
-
-def scenario_configs():
-    """The shared scenario set: every scheme family, both outdetect kinds."""
-    return [
-        FTCConfig(max_faults=2),
-        FTCConfig(max_faults=3, variant=SchemeVariant.DETERMINISTIC_POLY),
-        FTCConfig(max_faults=2, variant=SchemeVariant.RANDOMIZED_FULL,
-                  random_seed=7),
-        FTCConfig(max_faults=2, variant=SchemeVariant.SKETCH_WHP, random_seed=3),
-    ]
+#: SHA-256 of ``FTCLabeling(graph, FTCConfig(max_faults, variant))
+#: .to_snapshot_bytes()``, computed with the sharded build this serial path
+#: replaced.
+GOLDEN_DIGESTS = {
+    ("er", "det-nearlinear"):
+        "f38c1eb9af99136576bfe01b3f3e7b9019ddabc82ba31842ebdb078e32f332c9",
+    ("er", "det-poly"):
+        "e2e863aa4d1f493e4b3140daa0f2014b6000f26f6b97a93fa618ee0c97baffc4",
+    ("er", "rand-full"):
+        "58a39e6b3af5eeedd1338b60d2cd95121e3576cb840e6cf6084ea42d359c52f0",
+    ("er", "sketch-whp"):
+        "6a9ed79ee16162e984e2b93cd7adbeb15f6c577f9797aee98fdfa5d9d784fed9",
+    ("er", "sketch-full"):
+        "d35bfe935c1f1d041e1894defb73b4ead4bd65a9cdf3cc8d57817189bd163493",
+    ("grid", "det-nearlinear"):
+        "2581a570b2f28d4630160cc07691e12106e768824ab253c8662cf4412ad1a614",
+    ("grid", "det-poly"):
+        "837b87b237f306333e77448b2252fca45972e047e7626fdfadd70a470ace3425",
+    ("grid", "rand-full"):
+        "b4df045de801fa7260a778a7f3999e35fc4d335c3d4e194c29ebadfc932ffc38",
+    ("grid", "sketch-whp"):
+        "c2a8121c66a3e12322fb0d8f7b17cd33f2f55bafda13f4cfe208a107b4c3a1e5",
+    ("grid", "sketch-full"):
+        "858b958b3bb1f6f071b98227ca46723545622168e26b4ad7a9045faee3c256cf",
+}
 
 
 @pytest.fixture(scope="module")
 def graphs():
-    return {
-        "er": make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5),
-        "tree": make_graph(GraphFamily.TREE_PLUS_CHORDS, n=16, seed=2, density=0.0),
-    }
+    return {"er": make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5)}
 
 
-# ------------------------------------------------------------- conformance
-
-def test_executors_satisfy_the_protocol():
-    for executor in (SerialExecutor(), ProcessExecutor(2)):
-        assert isinstance(executor, BuildExecutor)
-        assert executor.name in available_executors()
-        assert executor.jobs >= 1
+@pytest.fixture(scope="module")
+def golden_graphs():
+    return {name: make_graph(family, n=n, seed=7)
+            for name, (family, n, _) in GOLDEN_GRAPHS.items()}
 
 
-def test_byte_identical_snapshots_across_executors(graphs):
-    """The acceptance criterion: same scenario set, both executors, equal
-    snapshot bytes everywhere."""
-    for graph_name, graph in graphs.items():
-        for config in scenario_configs():
-            snapshots = {
-                spec: FTCLabeling(graph, config,
-                                  executor=resolve_executor(spec)).to_snapshot_bytes()
-                for spec in EXECUTORS
-            }
-            reference = snapshots["serial"]
-            for spec, data in snapshots.items():
-                assert data == reference, (graph_name, config.variant, spec)
+# ---------------------------------------------------------- golden digests
+
+@pytest.mark.parametrize("graph_name,variant", sorted(GOLDEN_DIGESTS),
+                         ids=["%s-%s" % key for key in sorted(GOLDEN_DIGESTS)])
+def test_golden_snapshot_digests(golden_graphs, graph_name, variant):
+    config = FTCConfig(max_faults=GOLDEN_GRAPHS[graph_name][2],
+                       variant=SchemeVariant(variant))
+    data = FTCLabeling(golden_graphs[graph_name], config).to_snapshot_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        GOLDEN_DIGESTS[(graph_name, variant)]
 
 
-def test_parallel_answers_match_ground_truth(graphs):
-    graph = graphs["er"]
-    labeling = FTCLabeling(graph, FTCConfig(max_faults=2), executor="process:2")
-    edges = sorted(graph.edges())
-    faults = edges[:2]
-    vertices = sorted(graph.vertices())
-    pairs = [(vertices[i], vertices[-1 - i]) for i in range(5)]
-    expected = [graph.connected(s, t, removed=faults) for s, t in pairs]
-    assert labeling.connected_many(pairs, faults) == expected
+def test_golden_digests_cover_every_variant():
+    for graph_name in GOLDEN_GRAPHS:
+        assert {variant for name, variant in GOLDEN_DIGESTS
+                if name == graph_name} == {v.value for v in SchemeVariant}
 
 
 # ------------------------------------------------------------ build report
 
 def test_build_report_shape(graphs):
-    labeling = FTCLabeling(graphs["er"], FTCConfig(max_faults=2),
-                           executor="process:2")
+    labeling = FTCLabeling(graphs["er"], FTCConfig(max_faults=2))
     report = labeling.build_report
     assert isinstance(report, BuildReport)
-    assert report.executor == "process"
-    assert report.jobs == 2
     assert tuple(report.stage_seconds) == STAGES
     assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
     assert report.total_seconds >= sum(report.stage_seconds.values()) * 0.5
     assert report.level_count >= 1
-    assert report.shard_count >= report.level_count
+    assert report.reused_level_count == 0
     payload = report.to_dict()
-    assert payload["executor"] == "process"
+    assert payload["level_count"] == report.level_count
     json.dumps(payload)  # must be JSON-ready for the CLI
     assert labeling.construction_seconds == report.total_seconds
     # Per-stage peak memory rides along (RSS probe on POSIX, else empty).
@@ -118,11 +117,11 @@ def test_build_report_tracemalloc_peaks_and_bit_identity():
 
     graph = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5)
     config = FTCConfig(max_faults=2)
-    plain = FTCLabeling(graph, config, executor="serial")
+    plain = FTCLabeling(graph, config)
     assert plain.build_report.memory_probe in ("rss", "unavailable")
     tracemalloc.start()
     try:
-        traced = FTCLabeling(graph, config, executor="serial")
+        traced = FTCLabeling(graph, config)
     finally:
         tracemalloc.stop()
     report = traced.build_report
@@ -132,182 +131,113 @@ def test_build_report_tracemalloc_peaks_and_bit_identity():
     assert traced.to_snapshot_bytes() == plain.to_snapshot_bytes()
 
 
-def test_report_shard_count_scales_with_jobs(graphs):
-    serial = FTCLabeling(graphs["er"], FTCConfig(max_faults=2),
-                         executor="serial")
-    parallel = FTCLabeling(graphs["er"], FTCConfig(max_faults=2),
-                           executor="process:2")
-    assert serial.build_report.executor == "serial"
-    assert serial.build_report.shard_count == serial.build_report.level_count
-    assert parallel.build_report.shard_count > parallel.build_report.level_count
-
-
-# ------------------------------------------------------------- resolution
-
-def test_resolve_executor_specs():
-    assert resolve_executor("serial").name == "serial"
-    assert resolve_executor("process").name == "process"
-    assert resolve_executor("process:3").jobs == 3
-    assert resolve_executor("PROCESS:2").name == "process"
-    # String specs resolve to shared instances (one pool per spec).
-    assert resolve_executor("process:3") is resolve_executor("process:3")
-
-
-def test_resolve_executor_jobs_semantics():
-    assert resolve_executor(jobs=1).name == "serial"
-    parallel = resolve_executor(jobs=2)
-    assert parallel.name == "process"
-    assert parallel.jobs == 2
-    # A spec without a count takes the separate jobs= as its worker bound.
-    assert resolve_executor("process", jobs=5).jobs == 5
-
-
-def test_resolve_executor_rejects_bad_input():
-    for spec in ("fibers", "thread", "thread:2"):
-        with pytest.raises(ValueError, match="serial, process"):
-            resolve_executor(spec)
-    with pytest.raises(ValueError):
-        resolve_executor("process:0")
-    with pytest.raises(ValueError):
-        resolve_executor("serial:4")
-    with pytest.raises(ValueError):
-        resolve_executor(jobs=0)
-    with pytest.raises(ValueError):
-        resolve_executor("process:2", jobs=3)
-    with pytest.raises(ValueError):
-        resolve_executor(SerialExecutor(), jobs=2)
-    with pytest.raises(TypeError):
-        resolve_executor(object())
-
-
-def test_resolve_executor_instance_passthrough():
-    executor = ProcessExecutor(2)
-    assert resolve_executor(executor) is executor
-    assert resolve_executor(executor, jobs=2) is executor
-
-
-def test_env_override_selects_the_default(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV_VAR, "process:2")
-    assert resolve_executor().name == "process"
-    # Explicit arguments beat the environment.
-    assert resolve_executor("serial").name == "serial"
-    for spec in ("fibers", "thread"):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, spec)
-        with pytest.raises(ValueError, match="serial, process"):
-            resolve_executor()
-    monkeypatch.delenv(EXECUTOR_ENV_VAR)
-    assert resolve_executor().name == "serial"
-
-
-def test_resolve_build_executor_joins_config_resolution(monkeypatch):
-    """The core.config entry point delegates to the build package."""
-    monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-    assert resolve_build_executor().name == "serial"
-    assert resolve_build_executor(jobs=2).name == "process"
-    assert resolve_build_executor("process:2").name == "process"
-
-
-def test_closed_pooled_executor_refuses_work():
-    executor = ProcessExecutor(2)
-    assert executor.map(len, [[1], [1, 2]]) == [1, 2]
-    executor.close()
-    executor.close()  # idempotent
-    with pytest.raises(RuntimeError):
-        executor.map(len, [[1], [1, 2]])
-    with pytest.raises(RuntimeError):
-        executor.map(len, [[1]])  # the single-task shortcut checks too
-
-
-def test_broken_process_pool_recovers_on_the_next_map():
-    """A killed worker breaks the pool; the executor replaces it, not dies."""
-    from concurrent.futures import BrokenExecutor
-
-    executor = ProcessExecutor(1)
-    try:
-        with pytest.raises(BrokenExecutor):
-            executor.map(os._exit, [1, 1])  # both tasks kill their worker
-        assert executor.map(len, [[1], [1, 2]]) == [1, 2]  # fresh pool
-    finally:
-        executor.close()
-
-
-def test_closing_a_shared_executor_does_not_poison_the_cache():
-    first = resolve_executor("process:3")
-    first.close()
-    fresh = resolve_executor("process:3")
-    assert fresh is not first
-    assert fresh.map(len, [[1], [1, 2]]) == [1, 2]
-
-
-def test_serial_spec_with_parallel_jobs_is_rejected():
-    with pytest.raises(ValueError, match="serial"):
-        resolve_executor("serial", jobs=4)
-    assert resolve_executor("serial", jobs=1).name == "serial"
-
-
 # ---------------------------------------------------------------- facades
 
 def test_build_labeling_facade(graphs):
-    labeling = build_labeling(graphs["er"], max_faults=2, jobs=2)
+    labeling = build_labeling(graphs["er"], max_faults=2)
     assert isinstance(labeling, FTCLabeling)
-    assert labeling.build_report.executor == "process"
-    reference = build_labeling(graphs["er"], max_faults=2)
+    reference = FTCLabeling(graphs["er"], FTCConfig(max_faults=2))
     assert labeling.to_snapshot_bytes() == reference.to_snapshot_bytes()
     with pytest.raises(TypeError):
         build_labeling(graphs["er"])  # neither config nor max_faults
+    with pytest.raises(TypeError):
+        build_labeling(graphs["er"], max_faults=2, jobs=2)
+
+
+def test_parallel_answers_match_ground_truth(graphs):
+    """The one parallel path left — process-pool session construction —
+    answers like BFS on G - F."""
+    graph = graphs["er"]
+    labeling = FTCLabeling(graph, FTCConfig(max_faults=2))
+    edges = sorted(graph.edges())
+    fault_sets = [edges[:2], edges[2:4], edges[4:5]]
+    vertices = sorted(graph.vertices())
+    pairs = [(vertices[i], vertices[-1 - i]) for i in range(5)]
+    labeling.build_sessions(fault_sets, jobs=2)
+    for faults in fault_sets:
+        expected = [graph.connected(s, t, removed=faults) for s, t in pairs]
+        assert labeling.connected_many(pairs, faults) == expected
 
 
 def test_oracle_build_with_jobs(graphs):
+    """The removed construction options fail closed on every build facade."""
     graph = graphs["er"]
-    with Oracle.build(graph, max_faults=2, jobs=2) as oracle:
-        assert oracle.build_report.executor == "process"
-        serial = Oracle.build(graph, max_faults=2)
-        assert oracle.to_snapshot_bytes() == serial.to_snapshot_bytes()
+    with pytest.raises(TypeError):
+        Oracle.build(graph, max_faults=2, jobs=2)
+    with pytest.raises(TypeError):
+        Oracle.build(graph, max_faults=2, executor="process:2")
+    base = Oracle.build(graph, max_faults=2)
+    with pytest.raises(TypeError):
+        Oracle.build_delta(base, graph, jobs=2)
 
 
 def test_open_oracle_uri_jobs(tmp_path, graphs):
-    graph = graphs["er"]
+    """``build:`` URIs take no options — refused up front, never looked up
+    as a file named ``edges.txt?jobs=2``."""
+    from repro.api import open_oracle
+
     edges = tmp_path / "edges.txt"
-    edges.write_text("".join("%s %s\n" % edge for edge in sorted(graph.edges())))
-    with open_oracle("build:%s?jobs=2" % edges, max_faults=2) as oracle:
-        assert oracle.build_report.executor == "process"
-        assert oracle.build_report.jobs == 2
-    with open_oracle("build:%s?executor=serial" % edges, max_faults=2) as oracle:
-        assert oracle.build_report.executor == "serial"
-
-
-def test_open_oracle_rejects_jobs_on_constructed_transports():
-    """Construction options on snapshot/tcp URIs fail loudly, never no-op."""
-    with pytest.raises(ValueError, match="already-constructed"):
-        open_oracle("snapshot:whatever.ftcs", jobs=4)
-    with pytest.raises(ValueError, match="already-constructed"):
-        open_oracle("tcp://127.0.0.1:1", executor="process:2")
+    edges.write_text("".join("%s %s\n" % edge for edge in sorted(graphs["er"].edges())))
+    for query in ("jobs=2", "executor=serial"):
+        with pytest.raises(ValueError, match="take no options"):
+            open_oracle("build:%s?%s" % (edges, query), max_faults=2)
+    with open_oracle("build:%s" % edges, max_faults=2) as oracle:
+        assert oracle.build_report.level_count >= 1
 
 
 def test_parse_build_query():
-    assert parse_build_query("edges.txt") == ("edges.txt", {})
-    assert parse_build_query("edges.txt?jobs=4") == ("edges.txt", {"jobs": 4})
-    assert parse_build_query("?executor=process:2&jobs=2") == \
-        ("", {"executor": "process:2", "jobs": 2})
-    with pytest.raises(ValueError):
-        parse_build_query("edges.txt?jobs=zero")
-    with pytest.raises(ValueError):
-        parse_build_query("edges.txt?workers=4")
+    """``build:`` URIs take no options: a query string is refused up front,
+    and the old query parser is gone from the API."""
+    import repro.api
+    from repro.api import parse_oracle_uri
+
+    assert not hasattr(repro.api, "parse_build_query")
+    assert parse_oracle_uri("build:edges.txt") == ("build", "edges.txt")
+    assert parse_oracle_uri("build:") == ("build", "")
+    for with_options in ("build:edges.txt?jobs=4", "build:?executor=process:2",
+                         "build:edges.txt?jobs=zero", "build:edges.txt?workers=4",
+                         "build:edges.txt?"):
+        with pytest.raises(ValueError, match="take no options"):
+            parse_oracle_uri(with_options)
+
+
+def test_open_oracle_rejects_jobs_on_constructed_transports():
+    """The removed construction keywords are unknown on every transport."""
+    from repro.api import open_oracle
+
+    for uri in ("snapshot:whatever.ftcs", "tcp://127.0.0.1:1", "build:"):
+        with pytest.raises(TypeError):
+            open_oracle(uri, jobs=4)
+        with pytest.raises(TypeError):
+            open_oracle(uri, executor="process:2")
 
 
 def test_cli_jobs_flag(tmp_path, graphs, capsys):
+    """``--jobs`` belongs to ``batch-query`` (and ``serve``) only: the other
+    build subcommands reject it as an unknown flag."""
     from repro.cli import main
 
     graph = graphs["er"]
     edges = tmp_path / "edges.txt"
     edges.write_text("".join("%s %s\n" % edge for edge in sorted(graph.edges())))
+    for argv in (["stats", "--edges", str(edges)],
+                 ["query", "--edges", str(edges), "--source", "0",
+                  "--target", "1"],
+                 ["audit", "--edges", str(edges)],
+                 ["export-labels", "--edges", str(edges)]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
     fault = "%s-%s" % sorted(graph.edges())[0]
     code = main(["batch-query", "--edges", str(edges), "--max-faults", "2",
                  "--jobs", "2", "--fault", fault, "--random-pairs", "5",
                  "--check", "--json"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert payload["ok"] and payload["result"]["ground_truth_mismatches"] == 0
+    assert "--jobs 2 does not apply" in captured.err
 
 
 def test_cli_bad_jobs_and_executor_are_clean_errors(tmp_path, capsys):
@@ -316,33 +246,38 @@ def test_cli_bad_jobs_and_executor_are_clean_errors(tmp_path, capsys):
 
     edges = tmp_path / "edges.txt"
     edges.write_text("a b\nb c\nc a\n")
-    assert main(["query", "--edges", str(edges), "--max-faults", "1",
-                 "--source", "a", "--target", "c", "--jobs", "0"]) == 2
+    assert main(["batch-query", "--edges", str(edges), "--max-faults", "1",
+                 "--pair", "a-c", "--jobs", "0"]) == 2
     assert "at least 1" in capsys.readouterr().err
     assert main(["batch-query", "--oracle", "build:%s?executor=bogus" % edges,
                  "--max-faults", "1", "--pair", "a-c"]) == 2
-    assert "unknown build executor" in capsys.readouterr().err
-    assert main(["save-labeling", "--edges", str(edges), "--max-faults", "1",
-                 "--jobs", "-3", "--output", str(tmp_path / "x.ftcs")]) == 2
+    assert "take no options" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["save-labeling", "--edges", str(edges), "--max-faults", "1",
+              "--jobs", "2", "--output", str(tmp_path / "x.ftcs")])
+    assert excinfo.value.code == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.ftcs").exists()
 
 
 def test_cli_uri_jobs_conflict_is_an_error(tmp_path, capsys):
+    """``build:...?jobs=N`` is refused up front, never looked up as a path."""
     from repro.cli import main
 
     edges = tmp_path / "edges.txt"
     edges.write_text("a b\nb c\n")
     for argv in (["batch-query", "--oracle", "build:%s?jobs=4" % edges,
-                  "--jobs", "2", "--max-faults", "1", "--pair", "a-c"],
+                  "--max-faults", "1", "--pair", "a-c"],
                  ["stats", "--oracle", "build:%s?jobs=4" % edges,
-                  "--jobs", "2", "--max-faults", "1"]):
+                  "--max-faults", "1"]):
         assert main(argv) == 2
-        assert "conflicts with --jobs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "take no options" in err and "does not exist" not in err
 
 
 def test_cli_jobs_on_a_constructed_transport_notes_inapplicability(
         tmp_path, graphs, capsys):
-    """--jobs on snapshot/tcp paths must say it is doing nothing."""
+    """--jobs without --faults-file must say it is doing nothing."""
     from repro.cli import main
 
     graph = graphs["er"]
@@ -357,9 +292,6 @@ def test_cli_jobs_on_a_constructed_transport_notes_inapplicability(
                  "--fault", fault, "--random-pairs", "2", "--json"]) == 0
     captured = capsys.readouterr()
     assert "--jobs 4 does not apply" in captured.err
-    assert main(["stats", "--oracle", "snapshot:%s" % snapshot,
-                 "--jobs", "4"]) == 0
-    assert "--jobs 4 does not apply" in capsys.readouterr().err
 
 
 def test_cli_save_labeling_reports_the_build(tmp_path, graphs, capsys):
@@ -368,69 +300,40 @@ def test_cli_save_labeling_reports_the_build(tmp_path, graphs, capsys):
     graph = graphs["er"]
     edges = tmp_path / "edges.txt"
     edges.write_text("".join("%s %s\n" % edge for edge in sorted(graph.edges())))
-    out_serial = tmp_path / "serial.ftcs"
-    out_jobs = tmp_path / "jobs.ftcs"
+    first = tmp_path / "first.ftcs"
+    second = tmp_path / "second.ftcs"
     assert main(["save-labeling", "--edges", str(edges), "--max-faults", "2",
-                 "--output", str(out_serial)]) == 0
-    default_report = json.loads(capsys.readouterr().out)
-    # Without --jobs the CLI follows the environment default (serial when
-    # REPRO_BUILD_EXECUTOR is unset — e.g. the process-executor CI job).
-    expected = resolve_executor().name if os.environ.get(EXECUTOR_ENV_VAR) \
-        else "serial"
-    assert default_report["build_report"]["executor"] == expected
+                 "--output", str(first)]) == 0
+    report = json.loads(capsys.readouterr().out)["build_report"]
+    assert tuple(report["stage_seconds"]) == STAGES
+    assert report["level_count"] >= 1
     assert main(["save-labeling", "--edges", str(edges), "--max-faults", "2",
-                 "--jobs", "2", "--output", str(out_jobs)]) == 0
-    jobs_report = json.loads(capsys.readouterr().out)
-    assert jobs_report["build_report"]["executor"] == "process"
-    # The CLI-level bit-identity guarantee: same artifact bytes either way.
-    assert out_serial.read_bytes() == out_jobs.read_bytes()
-
-
-# ------------------------------------------------------------------ shards
-
-def test_chunks_partition_exactly():
-    items = list(range(10))
-    for parts in (1, 2, 3, 7, 10, 25):
-        chunks = _chunks(items, parts)
-        assert [x for chunk in chunks for x in chunk] == items
-        assert len(chunks) == min(parts, len(items))
-        assert not any(len(chunk) == 0 for chunk in chunks)
-    assert _chunks([], 4) == [[]]
-
-
-def test_merge_shards_is_sparse_xor():
-    first = ([0, 2], [[1, 2], [4, 0]])
-    second = ([2], [[4, 5]])
-    assert merge_shards(4, 2, [first, second]) == \
-        [[1, 2], [0, 0], [0, 5], [0, 0]]
-    assert merge_shards(2, 3, []) == [[0, 0, 0], [0, 0, 0]]
-    with pytest.raises(ValueError):
-        merge_shards(4, 2, [([0], [[1, 2, 3]])])
-
-
-def test_merge_shards_bulk_backend_is_bit_identical():
-    from repro.gf2.bulk import get_bulk_ops
-
-    shards = [([0, 2], [[1, 2], [4, 0]]), ([2, 3], [[4, 5], [7, 7]]),
-              ([0], [[8, 8]])]
-    plain = merge_shards(4, 2, shards)
-    bulked = merge_shards(4, 2, shards, bulk=get_bulk_ops(None, max_bits=8))
-    assert plain == bulked == [[9, 10], [0, 0], [0, 5], [7, 7]]
+                 "--output", str(second)]) == 0
+    capsys.readouterr()
+    # The CLI-level determinism guarantee: same artifact bytes every time.
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_shard_partitions_merge_to_the_single_shot_matrix():
-    """Any partition of a level's edges XORs back to the unsharded labels."""
+    """Any partition of a level's edges XORs back to the full label matrix
+    (Proposition 2) — the property the ``level_reuse`` hook of
+    :mod:`repro.delta` patches levels by."""
     from repro.gf2.field import GF2m
+    from repro.outdetect.rs_threshold import RSThresholdOutdetect
 
     field = GF2m(8)
-    edges = [(0, 1, 3), (1, 2, 5), (2, 3, 7), (0, 3, 11), (1, 3, 13)]
-    whole = build_shard(rs_shard_task(field.width, field.modulus, 2, edges))
-    reference = merge_shards(4, 4, [whole])
-    for split in (1, 2, 3, 5):
-        chunks = _chunks(edges, split)
-        results = [build_shard(rs_shard_task(field.width, field.modulus, 2, chunk))
-                   for chunk in chunks]
-        assert merge_shards(4, 4, results) == reference
+    vertices = [0, 1, 2, 3]
+    items = [((0, 1), 3), ((1, 2), 5), ((2, 3), 7), ((0, 3), 11), ((1, 3), 13)]
+    scheme = RSThresholdOutdetect(field, 2, vertices, dict(items))
+    whole = scheme.label_matrix(vertices, items)
+    assert whole == [list(scheme.label_of(vertex)) for vertex in vertices]
+    for size in (1, 2, 3):
+        merged = [[0] * 4 for _ in vertices]
+        for start in range(0, len(items), size):
+            part = scheme.label_matrix(vertices, items[start:start + size])
+            for row, part_row in zip(merged, part):
+                scheme.bulk.xor_accumulate(row, [part_row])
+        assert merged == whole
 
 
 def test_plan_validates_inputs(graphs):

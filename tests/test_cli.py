@@ -91,7 +91,7 @@ def test_cli_batch_query(edge_file, capsys, tmp_path):
 
 def test_cli_batch_query_faults_file(edge_file, capsys, tmp_path):
     """--faults-file answers the pair list under every fault set via
-    executor-backed session construction (--jobs)."""
+    process-pool session construction (--jobs)."""
     faults_file = tmp_path / "faults.txt"
     faults_file.write_text("# one fault set per line\nb-c c-d\na-b\n-\n")
     exit_code = main(["batch-query", "--edges", str(edge_file), "--max-faults", "2",

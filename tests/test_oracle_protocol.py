@@ -295,8 +295,11 @@ def test_open_oracle_routes_by_uri(tmp_path, world):
         open_oracle("build:")
     with pytest.raises(ValueError):
         open_oracle("tcp://no-port")
-    with pytest.raises(ValueError):
-        # Construction options must never silently do nothing on snapshot URIs.
+    with pytest.raises(ValueError, match="take no options"):
+        # Refused up front, never looked up as a file named "edges.txt?jobs=4".
+        open_oracle("build:%s?jobs=4" % edges_path, max_faults=1)
+    with pytest.raises(TypeError):
+        # The removed construction keyword is unknown, not silently ignored.
         open_oracle("snapshot:%s" % snapshot_path, jobs=2)
 
 
